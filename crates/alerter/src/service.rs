@@ -18,22 +18,13 @@ use crate::wire::{parse_line, WireEvent};
 use secloc_core::{
     AlertOutcome, ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine,
 };
-use secloc_obs::{Obs, SpanContext, Value};
+use secloc_obs::{fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
 
-/// FNV-1a, the workspace's standard content hash; deployment keys become
-/// trace ids with it, except keys that already *are* 16-hex trace ids
-/// (sweep cell keys), which are adopted verbatim so replayed decisions
-/// land on the same trace as the batch recording.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
+/// Deployment keys become trace ids by FNV-1a, the workspace's standard
+/// content hash, except keys that already *are* 16-hex trace ids (sweep
+/// cell keys), which are adopted verbatim so replayed decisions land on
+/// the same trace as the batch recording.
 fn trace_id_of(key: &str) -> u64 {
     if key.len() == 16 && key.bytes().all(|b| b.is_ascii_hexdigit()) {
         u64::from_str_radix(key, 16).expect("16 hex digits")
@@ -606,5 +597,10 @@ mod tests {
     fn trace_ids_adopt_sweep_cell_keys() {
         assert_eq!(trace_id_of("00000000c0ffee00"), 0xc0ffee00);
         assert_ne!(trace_id_of("field-7"), trace_id_of("field-8"));
+        assert_eq!(
+            trace_id_of("field-7"),
+            0xa898_5f75_0dbf_8d2b,
+            "pinned FNV-1a"
+        );
     }
 }

@@ -496,6 +496,7 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
     let best_of_3 = |measure: &dyn Fn() -> u64| (0..3).map(|_| measure()).min().expect("3 runs");
     let warm_hits_ns = best_of_3(&warm);
     let mut bc = BinaryCache::open(&cache, dead_cells).expect("open cache for flooding");
+    bc.reserve(dead_cells).expect("reserve dead cells");
     let donor = bc.entries().expect("scan cache")[0].1.clone();
     for i in 0..dead_cells as u64 {
         let key = CellKey((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD0A0_BEEF);

@@ -3,7 +3,7 @@
 //! The paper's claims are rates measured over noisy pipelines — detection
 //! rate, false positives, N′ — and tuning them at production scale needs
 //! visibility *inside* a run, not just the end-of-run outcome. This crate
-//! supplies that visibility with four building blocks, none of which pull
+//! supplies that visibility with five building blocks, none of which pull
 //! in external dependencies (the build environment is offline):
 //!
 //! - [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
@@ -17,7 +17,9 @@
 //!   ([`FanoutSink`]) and hand-rolled JSON (module [`json`], no serde);
 //! - [`health`] — pluggable detectors over the event stream (stalled
 //!   streams, counter anomalies, cache-hit collapse, checkpoint gaps)
-//!   surfaced as `health.*` events.
+//!   surfaced as `health.*` events;
+//! - [`Fnv1a`] — the workspace's one stable content hash, behind trace
+//!   ids, span ids, sweep cell keys and cache record checksums.
 //!
 //! The [`Obs`] facade bundles an optional registry with an optional sink so
 //! instrumented code pays almost nothing when observability is off:
@@ -69,6 +71,7 @@
 #![warn(missing_docs)]
 
 mod event;
+mod hash;
 pub mod health;
 pub mod json;
 mod metrics;
@@ -78,6 +81,7 @@ mod span;
 pub use event::{
     Event, EventSink, FanoutSink, FlightRecorder, JsonlSink, MemorySink, SpanContext, Value,
 };
+pub use hash::{fnv1a, Fnv1a};
 pub use health::{HealthAlert, HealthDetector, HealthMonitor};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot};
 pub use span::{Span, Stopwatch};

@@ -59,8 +59,9 @@
 //! produce byte-identical shard *and* index files — enforced by the
 //! proptest in `crates/sim/tests/cache_bin.rs`.
 
-use crate::orchestrator::{fnv1a, CacheInsert, CellKey};
+use crate::orchestrator::{CacheInsert, CellKey};
 use crate::SimOutcome;
+use secloc_obs::fnv1a;
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -244,10 +245,16 @@ pub struct BinaryCache {
 }
 
 impl BinaryCache {
-    /// Opens (or creates) the binary cache directory at `dir`, sized for
-    /// at least `expected_cells` further entries. Recovery — tail
-    /// truncation, tail re-indexing, or a full index rebuild — runs here;
-    /// the repaired state is reported by [`BinaryCache::recovery`].
+    /// Opens (or creates) the binary cache directory at `dir`. A cache
+    /// created here — or an index rebuilt here — is sized for
+    /// `expected_cells` entries: that picks the shard count and the slot
+    /// capacity. An existing index is opened as it is, never grown: a
+    /// caller that knows how many inserts follow (the orchestrator, once
+    /// its hit scan has counted the misses) calls
+    /// [`BinaryCache::reserve`], and an insert past the reservation grows
+    /// the index itself. Recovery — tail truncation, tail re-indexing, or
+    /// a full index rebuild — runs here; the repaired state is reported
+    /// by [`BinaryCache::recovery`].
     pub fn open(dir: impl AsRef<Path>, expected_cells: usize) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         if dir.is_file() {
@@ -272,7 +279,6 @@ impl BinaryCache {
             Self::create(&dir, expected_cells)?
         };
         cache.recover_tails()?;
-        cache.reserve(expected_cells as u64)?;
         Ok(cache)
     }
 
@@ -519,10 +525,12 @@ impl BinaryCache {
     }
 
     /// Grows the index when `additional` more entries would push the load
-    /// factor past the limit. Growth rebuilds the slot array from the
-    /// *index* (not the shards): O(capacity), amortized over inserts.
-    fn reserve(&mut self, additional: u64) -> io::Result<()> {
-        let needed = slot_capacity_for(self.len + additional);
+    /// factor past the limit, so the next `additional` inserts never grow
+    /// it. Growth rebuilds the slot array from the *index* (not the
+    /// shards): O(capacity), amortized over inserts. Reserving room that
+    /// already exists touches nothing on disk.
+    pub fn reserve(&mut self, additional: usize) -> io::Result<()> {
+        let needed = slot_capacity_for(self.len + additional as u64);
         if needed <= self.capacity {
             return Ok(());
         }

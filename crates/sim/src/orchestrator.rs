@@ -41,11 +41,12 @@
 
 use crate::cache::BinaryCache;
 use crate::{ImpactMemo, RunOptions, Runner, SimConfig, SimOutcome};
-use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Obs, SpanContext, Value};
+use secloc_obs::{fnv1a, EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -110,17 +111,6 @@ impl CellKey {
     }
 }
 
-/// 64-bit FNV-1a over `bytes` — stable across platforms and releases,
-/// unlike `std::hash`'s unspecified `SipHash` keys.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The canonical encoding hashed into a cell key. `SimConfig` is plain
 /// data whose derived `Debug` output is deterministic; the options tag
 /// records how the cell is run (always the plain optimized path — traces
@@ -136,16 +126,34 @@ pub fn cell_key(config: &SimConfig, seed: u64, tag: &str) -> CellKey {
     CellKey(fnv1a(canonical_cell(config, seed, tag).as_bytes()))
 }
 
-/// The grouping key for probe-stage sharing: two cells with equal strings
-/// replay identical detection + location phases (phases 1–2), so one
-/// [`Runner::probe_stage`] serves both. It is the topology key and seed
-/// (which fix the deployment and every placement RNG stream) plus the
-/// policy knobs that reach the probe/localization phases — everything
-/// *outside* this string (τ, τ′, collusion, alert loss/retransmissions) is
-/// consumed only by the revocation and impact phases re-run per cell.
-fn probe_fingerprint(config: &SimConfig, seed: u64) -> String {
+/// A stable identity for a whole grid, from its cell keys: FNV-1a over
+/// every key's 16-hex form followed by `;`, in cell order. Checkpoints
+/// carry it so a resume against a different grid (or code version) is
+/// rejected instead of silently splicing unrelated results.
+fn grid_key(keys: &[CellKey]) -> CellKey {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut hash = Fnv1a::new();
+    let mut text = [b';'; 17];
+    for key in keys {
+        for (i, digit) in text[..16].iter_mut().enumerate() {
+            *digit = HEX[(key.0 >> (60 - 4 * i)) as usize & 0xf];
+        }
+        hash.update(&text);
+    }
+    CellKey(hash.finish())
+}
+
+/// The grouping key for probe-stage sharing, minus the seed: two cells
+/// with equal strings *and* equal seeds replay identical detection +
+/// location phases (phases 1–2), so one [`Runner::probe_stage`] serves
+/// both. It is the topology key (which, with the seed, fixes the
+/// deployment and every placement RNG stream) plus the policy knobs that
+/// reach the probe/localization phases — everything *outside* this string
+/// (τ, τ′, collusion, alert loss/retransmissions) is consumed only by the
+/// revocation and impact phases re-run per cell.
+fn probe_fingerprint(config: &SimConfig) -> String {
     format!(
-        "{:?};seed={seed};max_ranging_error_ft={:?};detecting_ids={:?};\
+        "{:?};max_ranging_error_ft={:?};detecting_ids={:?};\
          wormhole_detection_rate={:?};attacker_p={:?};lie_offset_ft={:?}",
         config.topology_key(),
         config.max_ranging_error_ft,
@@ -288,28 +296,29 @@ pub struct SweepCell {
 
 /// An ordered list of sweep cells. Order is part of the contract: results,
 /// checkpoint lines and cache appends all follow it.
+///
+/// The spec also records *runs*: consecutive cells cloned from one config.
+/// Per-config work — the config's share of every cell key, its probe
+/// fingerprint — is done once per run rather than once per cell.
 #[derive(Debug, Clone, Default)]
 pub struct SweepSpec {
     cells: Vec<SweepCell>,
+    /// Non-empty, contiguous and in order, covering every cell.
+    runs: Vec<Range<usize>>,
 }
 
 impl SweepSpec {
-    /// A spec over explicit cells.
+    /// A spec over explicit cells. Each cell is its own run: cells are
+    /// never merged by comparing configs, because two configs can be
+    /// equal under `PartialEq` (`0.0 == -0.0`) yet hash to different keys.
     pub fn new(cells: Vec<SweepCell>) -> Self {
-        SweepSpec { cells }
+        let runs = (0..cells.len()).map(|i| i..i + 1).collect();
+        SweepSpec { cells, runs }
     }
 
     /// One config fanned over seeds (the classic `run_seeds` shape).
     pub fn single(config: &SimConfig, seeds: &[u64]) -> Self {
-        SweepSpec {
-            cells: seeds
-                .iter()
-                .map(|&seed| SweepCell {
-                    config: config.clone(),
-                    seed,
-                })
-                .collect(),
-        }
+        SweepSpec::product(std::slice::from_ref(config), seeds)
     }
 
     /// The full product grid, config-major: all seeds of `configs[0]`,
@@ -324,7 +333,11 @@ impl SweepSpec {
                 });
             }
         }
-        SweepSpec { cells }
+        let runs = (0..cells.len())
+            .step_by(seeds.len().max(1))
+            .map(|start| start..start + seeds.len())
+            .collect();
+        SweepSpec { cells, runs }
     }
 
     /// The cells, in sweep order.
@@ -342,17 +355,25 @@ impl SweepSpec {
         self.cells.is_empty()
     }
 
-    /// A stable identity for the whole grid under `tag`: the hash of all
-    /// cell keys in order. Checkpoints carry it so a resume against a
-    /// different grid (or code version) is rejected instead of silently
-    /// splicing unrelated results.
-    pub(crate) fn grid_key(&self, tag: &str) -> CellKey {
-        let mut joined = String::with_capacity(self.cells.len() * 17);
-        for cell in &self.cells {
-            use std::fmt::Write as _;
-            let _ = write!(joined, "{};", cell_key(&cell.config, cell.seed, tag));
+    /// Every cell's [`cell_key`] under `tag`, in sweep order. The hashed
+    /// bytes are exactly `cell_key`'s, but each run's `"{config:?};seed="`
+    /// prefix is formatted and hashed once; every cell of the run then
+    /// continues a copy of that FNV-1a state over its own
+    /// `"{seed};options=plain;tag={tag}"` suffix.
+    pub fn cell_keys(&self, tag: &str) -> Vec<CellKey> {
+        let suffix = format!(";options=plain;tag={tag}");
+        let mut keys = Vec::with_capacity(self.cells.len());
+        for run in &self.runs {
+            let mut prefix = Fnv1a::new();
+            let _ = write!(prefix, "{:?};seed=", self.cells[run.start].config);
+            keys.extend(self.cells[run.clone()].iter().map(|cell| {
+                let mut hash = prefix;
+                let _ = write!(hash, "{}", cell.seed);
+                hash.update(suffix.as_bytes());
+                CellKey(hash.finish())
+            }));
         }
-        CellKey(fnv1a(joined.as_bytes()))
+        keys
     }
 }
 
@@ -362,7 +383,6 @@ impl SweepSpec {
 // ---------------------------------------------------------------------------
 
 fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if v.is_finite() {
         // Rust's float Display prints the shortest string that parses back
         // to the same bits, so encode → decode is lossless.
@@ -383,7 +403,6 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
 /// guarantees of the checkpoint stream rest on this order never varying at
 /// runtime.
 fn encode_outcome(o: &SimOutcome) -> String {
-    use std::fmt::Write as _;
     let mut s = String::with_capacity(256);
     let _ = write!(
         s,
@@ -642,6 +661,15 @@ impl CacheBackend {
         }
     }
 
+    /// Makes room for `additional` inserts up front, so none of them
+    /// grows a binary cache's index mid-sweep.
+    fn reserve(&mut self, additional: usize) -> io::Result<()> {
+        match self {
+            CacheBackend::Jsonl(_) => Ok(()),
+            CacheBackend::Binary(cache) => cache.reserve(additional),
+        }
+    }
+
     fn get(&self, key: CellKey) -> io::Result<Option<SimOutcome>> {
         match self {
             CacheBackend::Jsonl(cache) => Ok(cache.get(key).cloned()),
@@ -679,17 +707,18 @@ impl CacheBackend {
 
 const CHECKPOINT_VERSION: u32 = 1;
 
-fn header_line(spec: &SweepSpec, tag: &str) -> String {
+/// The checkpoint header, newline included.
+fn header_line(cells: usize, grid: CellKey, tag: &str) -> String {
     format!(
-        "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{},\"grid\":\"{}\",\"tag\":\"{tag}\"}}",
-        spec.len(),
-        spec.grid_key(tag)
+        "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{cells},\"grid\":\"{grid}\",\"tag\":\"{tag}\"}}\n"
     )
 }
 
+/// One cell's checkpoint line, newline included, so it goes to the file in
+/// one write.
 fn cell_line(index: usize, key: CellKey, seed: u64, outcome: &SimOutcome) -> String {
     format!(
-        "{{\"kind\":\"cell\",\"index\":{index},\"key\":\"{key}\",\"seed\":{seed},\"outcome\":{}}}",
+        "{{\"kind\":\"cell\",\"index\":{index},\"key\":\"{key}\",\"seed\":{seed},\"outcome\":{}}}\n",
         encode_outcome(outcome)
     )
 }
@@ -705,8 +734,8 @@ fn bad_data(msg: String) -> io::Error {
 /// foreign results.
 fn load_checkpoint_prefix(
     path: &Path,
-    spec: &SweepSpec,
     keys: &[CellKey],
+    grid: CellKey,
     tag: &str,
 ) -> io::Result<Vec<SimOutcome>> {
     if !path.exists() {
@@ -728,9 +757,9 @@ fn load_checkpoint_prefix(
         )));
     }
     let cells: Option<usize> = num_field(header, "cells");
-    let grid = str_field(header, "grid").and_then(CellKey::parse);
+    let header_grid = str_field(header, "grid").and_then(CellKey::parse);
     let header_tag = str_field(header, "tag");
-    if cells != Some(spec.len()) || grid != Some(spec.grid_key(tag)) || header_tag != Some(tag) {
+    if cells != Some(keys.len()) || header_grid != Some(grid) || header_tag != Some(tag) {
         return Err(bad_data(format!(
             "checkpoint {} does not match this sweep (grid/tag/cell-count \
              differ); delete it or point the sweep elsewhere",
@@ -997,11 +1026,8 @@ impl Orchestrator {
     /// Panics if a worker thread panics (a cell's simulation panicked).
     pub fn run(&self, spec: &SweepSpec) -> io::Result<SweepReport> {
         let tag = self.effective_tag();
-        let keys: Vec<CellKey> = spec
-            .cells()
-            .iter()
-            .map(|c| cell_key(&c.config, c.seed, &tag))
-            .collect();
+        let keys = spec.cell_keys(&tag);
+        let grid = grid_key(&keys);
         // With a flight recorder configured, fan it into the event stream
         // next to the caller's sink so its ring always holds the tail of
         // exactly what was emitted.
@@ -1028,7 +1054,7 @@ impl Orchestrator {
 
         // 1. Replay the checkpoint prefix, if any.
         let prefix = match &self.checkpoint_path {
-            Some(path) => load_checkpoint_prefix(path, spec, &keys, &tag)?,
+            Some(path) => load_checkpoint_prefix(path, &keys, grid, &tag)?,
             None => Vec::new(),
         };
         let resumed = prefix.len();
@@ -1037,7 +1063,9 @@ impl Orchestrator {
         // 2. Consult the cache for everything past the prefix. A binary
         //    cache probes its index per key — O(grid), never O(cache) —
         //    so warm-start latency is independent of how many dead cells
-        //    the cache file has accumulated.
+        //    the cache file has accumulated. A new cache is sized for the
+        //    whole grid; an existing one reserves index room only for the
+        //    cells that miss, once the scan has counted them.
         let mut cache = match &self.cache_path {
             Some(path) => Some(CacheBackend::open(path, self.cache_format, spec.len())?),
             None => None,
@@ -1076,26 +1104,44 @@ impl Orchestrator {
                 pending.push(i);
             }
         }
+        if let Some(cache) = &mut cache {
+            cache.reserve(pending.len())?;
+        }
         obs.add("sweep.cells_cached", cache_hits as u64);
         obs.add("sweep.cells_executed", pending.len() as u64);
 
         // 3. Fold the pending cells into scheduling units. With sharing
-        //    on, cells with the same probe fingerprint form one unit that
-        //    deploys + probes once (first-appearance order, so a pure
-        //    policy sweep stays in sweep order); with sharing off every
-        //    cell is its own unit. Units go into a shared work-stealing
-        //    queue, never more workers than units.
+        //    on, cells with the same probe fingerprint and seed form one
+        //    unit that deploys + probes once (first-appearance order, so a
+        //    pure policy sweep stays in sweep order); with sharing off
+        //    every cell is its own unit. The fingerprint is formatted once
+        //    per run of the spec that has pending cells, and interned.
+        //    Units go into a shared work-stealing queue, never more
+        //    workers than units.
         let units: Vec<Vec<usize>> = if self.sharing {
-            let mut by_fp: HashMap<String, usize> = HashMap::new();
+            let mut fingerprints: HashMap<String, usize> = HashMap::new();
+            let mut by_probe: HashMap<(usize, u64), usize> = HashMap::new();
             let mut grouped: Vec<Vec<usize>> = Vec::new();
-            for &i in &pending {
-                let cell = &spec.cells()[i];
-                let fp = probe_fingerprint(&cell.config, cell.seed);
-                let slot = *by_fp.entry(fp).or_insert_with(|| {
-                    grouped.push(Vec::new());
-                    grouped.len() - 1
-                });
-                grouped[slot].push(i);
+            let mut rest = &pending[..];
+            for run in &spec.runs {
+                let in_run = rest.partition_point(|&i| i < run.end);
+                if in_run == 0 {
+                    continue;
+                }
+                let next_id = fingerprints.len();
+                let fp = *fingerprints
+                    .entry(probe_fingerprint(&spec.cells()[run.start].config))
+                    .or_insert(next_id);
+                for &i in &rest[..in_run] {
+                    let slot = *by_probe
+                        .entry((fp, spec.cells()[i].seed))
+                        .or_insert_with(|| {
+                            grouped.push(Vec::new());
+                            grouped.len() - 1
+                        });
+                    grouped[slot].push(i);
+                }
+                rest = &rest[in_run..];
             }
             grouped
         } else {
@@ -1138,7 +1184,7 @@ impl Orchestrator {
                     }
                 }
                 let mut file = fs::File::create(path)?;
-                writeln!(file, "{}", header_line(spec, &tag))?;
+                file.write_all(header_line(spec.len(), grid, &tag).as_bytes())?;
                 Some(file)
             }
             None => None,
@@ -1159,12 +1205,8 @@ impl Orchestrator {
                 };
                 let key = keys[*frontier];
                 if let Some(file) = &mut checkpoint_file {
-                    writeln!(
-                        file,
-                        "{}",
-                        cell_line(*frontier, key, spec.cells()[*frontier].seed, outcome)
-                    )?;
-                    file.flush()?;
+                    let line = cell_line(*frontier, key, spec.cells()[*frontier].seed, outcome);
+                    file.write_all(line.as_bytes())?;
                 }
                 // Cells that came *from* the cache are by definition
                 // already present — skip the read-back probe.
@@ -1401,15 +1443,9 @@ mod tests {
     #[test]
     fn grid_key_depends_on_order_and_content() {
         let seeds = [1u64, 2, 3];
-        let spec = SweepSpec::single(&tiny(), &seeds);
-        assert_eq!(
-            spec.grid_key("t"),
-            SweepSpec::single(&tiny(), &seeds).grid_key("t")
-        );
-        assert_ne!(
-            spec.grid_key("t"),
-            SweepSpec::single(&tiny(), &[3, 2, 1]).grid_key("t")
-        );
+        let grid = |seeds: &[u64]| grid_key(&SweepSpec::single(&tiny(), seeds).cell_keys("t"));
+        assert_eq!(grid(&seeds), grid(&seeds));
+        assert_ne!(grid(&seeds), grid(&[3, 2, 1]));
     }
 
     #[test]

@@ -198,6 +198,7 @@ fn run_compact(rest: Vec<String>) {
         }
     } else {
         let mut out = BinaryCache::open(&to, total).expect("open binary target");
+        out.reserve(total).expect("reserve binary target");
         for (key, outcome) in entries {
             match out
                 .insert_checked(key, outcome)

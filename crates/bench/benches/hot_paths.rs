@@ -193,7 +193,7 @@ fn bench_location_simd(deployment: &Deployment, rounds: u32) -> Section {
     // side mirrors the reference impact path — materialize each sensor's
     // set into a fresh `Vec`, solve with the scalar estimator — and the
     // after side mirrors the optimized path: load one reused pre-sized
-    // scratch, solve with the lane-kernel batched solver. An equivalence
+    // scratch, solve with the row-kernel batched solver. An equivalence
     // gate precedes the timing: the two must agree bit-for-bit.
     let d = deployment;
     let sets: Vec<Vec<LocationReference>> = d
@@ -220,7 +220,7 @@ fn bench_location_simd(deployment: &Deployment, rounds: u32) -> Section {
             batched
                 .estimate(&scratch)
                 .map(|e| (e.position.x.to_bits(), e.position.y.to_bits())),
-            "lane-kernel solve diverged from scalar — ratios are meaningless"
+            "row-kernel solve diverged from scalar — ratios are meaningless"
         );
     }
     let before_ns = time(|| {
@@ -250,72 +250,6 @@ fn bench_location_simd(deployment: &Deployment, rounds: u32) -> Section {
         iters: u64::from(rounds) * sets.len() as u64,
         before_ns,
         after_ns,
-    }
-}
-
-/// Intra-run parallel localization measurement: the τ-independent
-/// per-sensor estimate chain of one paper-scale probe stage, re-solved at
-/// 1..=min(4, cores) workers via [`Runner::solve_impact_chain`].
-/// Efficiency follows the `sweep_scale` convention — perfect scaling cuts
-/// the serial time by the worker count; on a single-core host the pool
-/// never widens and the efficiency is trivially 1, with `cores` recorded
-/// so the artifact says which case it measured.
-struct LocationParallel {
-    sensors: usize,
-    cores: usize,
-    worker_counts: Vec<usize>,
-    total_ns: Vec<u64>,
-    efficiency: f64,
-    efficiency_workers: usize,
-    efficiency_target: f64,
-}
-
-fn bench_location_parallel(cfg: &SimConfig, quick: bool) -> LocationParallel {
-    let rounds = if quick { 3u32 } else { 10 };
-    let runner = Runner::new(cfg.clone(), 3);
-    let stage = runner.probe_stage();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let wmax = cores.min(4);
-    let mut worker_counts = vec![1usize];
-    if wmax >= 2 {
-        worker_counts.push(2);
-    }
-    if wmax > 2 {
-        worker_counts.push(wmax);
-    }
-    // Equivalence gate: a worker count that changes the solve is a bug.
-    let serial_solved = runner.solve_impact_chain(&stage, 1);
-    for &w in &worker_counts {
-        assert_eq!(
-            runner.solve_impact_chain(&stage, w),
-            serial_solved,
-            "{w}-worker impact chain diverged from serial"
-        );
-    }
-    let total_ns: Vec<u64> = worker_counts
-        .iter()
-        .map(|&w| {
-            time(|| {
-                let mut total = 0usize;
-                for _ in 0..rounds {
-                    total += runner.solve_impact_chain(&stage, w);
-                }
-                total
-            })
-        })
-        .collect();
-    let efficiency =
-        (total_ns[0] as f64 / *total_ns.last().expect("nonempty") as f64) / wmax as f64;
-    LocationParallel {
-        sensors: (cfg.nodes - cfg.beacons) as usize,
-        cores,
-        worker_counts,
-        total_ns,
-        efficiency,
-        efficiency_workers: wmax,
-        efficiency_target: 0.6,
     }
 }
 
@@ -616,7 +550,6 @@ fn main() {
         bench_full_run(&cfg, full_runs, &registry),
         bench_location_simd(&deployment, grid_rounds),
     ];
-    let parallel = bench_location_parallel(&cfg, quick);
     let sweep = bench_sweep_sharing(&cfg, quick);
     let scale = bench_sweep_scale(quick);
     let alerter = bench_alerter(quick);
@@ -710,27 +643,6 @@ fn main() {
     );
     json.push_str("},\n");
 
-    json.push_str("  \"location_parallel\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"sensors\": {}, \"cores\": {},",
-        parallel.sensors, parallel.cores
-    );
-    json.push_str("    \"solve\": {");
-    for (i, &w) in parallel.worker_counts.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(json, "\"w{w}\": {{\"total_ns\": {}}}", parallel.total_ns[i]);
-    }
-    json.push_str("},\n");
-    let _ = writeln!(
-        json,
-        "    \"efficiency\": {:.4}, \"efficiency_workers\": {}, \"efficiency_target\": {:.1}",
-        parallel.efficiency, parallel.efficiency_workers, parallel.efficiency_target
-    );
-    json.push_str("  },\n");
-
     json.push_str("  \"sweep_sharing\": {");
     let _ = write!(
         json,
@@ -823,21 +735,6 @@ fn main() {
         location_p50 / 1e6,
         LOCATION_BASELINE_P50_NS / 1e6,
         LOCATION_BASELINE_P50_NS / location_p50
-    );
-    let solve_times: Vec<String> = parallel
-        .worker_counts
-        .iter()
-        .enumerate()
-        .map(|(i, w)| format!("{:.1} ms @ {w}w", parallel.total_ns[i] as f64 / 1e6))
-        .collect();
-    println!(
-        "  location parallel: {} sensors — {}; efficiency {:.2} at {} worker(s) on {} core(s) (target {:.1})",
-        parallel.sensors,
-        solve_times.join(", "),
-        parallel.efficiency,
-        parallel.efficiency_workers,
-        parallel.cores,
-        parallel.efficiency_target
     );
     let rates: Vec<String> = scale
         .worker_counts

@@ -12,7 +12,11 @@
 //! - `fail` — a hard limit is broken (the old CI inline-python check);
 //! - `warn` — within limits but regressed noticeably against the
 //!   history baseline (median of the matching window);
-//! - `pass` — everything else.
+//! - `pass` — everything else;
+//! - `skipped` — the metric could not be judged on this host (a scaling
+//!   efficiency measured on fewer than 2 cores is trivially 1.0). A
+//!   skipped metric carries a reason, counts as neither a pass nor a
+//!   fail, and is kept out of the history.
 //!
 //! Exit status is non-zero iff any metric fails (warnings are reported
 //! but do not gate), so CI can run `secloc-trend` directly instead of an
@@ -45,6 +49,7 @@ enum Limit {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Verdict {
+    Skipped,
     Pass,
     Warn,
     Fail,
@@ -53,9 +58,31 @@ enum Verdict {
 impl Verdict {
     fn label(self) -> &'static str {
         match self {
+            Verdict::Skipped => "skipped",
             Verdict::Pass => "pass",
             Verdict::Warn => "warn",
             Verdict::Fail => "fail",
+        }
+    }
+}
+
+/// One gated metric as a report states it, before judging. `skip` holds
+/// the reason the host cannot produce a meaningful value.
+#[derive(Debug)]
+struct Reading {
+    name: String,
+    value: f64,
+    limit: Limit,
+    skip: Option<String>,
+}
+
+impl Reading {
+    fn new(name: &str, value: f64, limit: Limit) -> Self {
+        Reading {
+            name: name.to_string(),
+            value,
+            limit,
+            skip: None,
         }
     }
 }
@@ -68,6 +95,7 @@ struct Metric {
     baseline: Option<f64>,
     delta_pct: Option<f64>,
     verdict: Verdict,
+    skip: Option<String>,
 }
 
 /// Relative + absolute slack before a baseline drift becomes a warning:
@@ -152,7 +180,12 @@ fn report_key(perf: Option<&JsonValue>, robustness: Option<&JsonValue>) -> Repor
         code_version: pick("code_version").unwrap_or_else(|| "unknown".to_string()),
         outcome_revision: revision.unwrap_or(0),
         config_fingerprint: pick("config_fingerprint").unwrap_or_else(|| "unknown".to_string()),
-        mode: if quick.unwrap_or(false) { "quick" } else { "full" }.to_string(),
+        mode: if quick.unwrap_or(false) {
+            "quick"
+        } else {
+            "full"
+        }
+        .to_string(),
     }
 }
 
@@ -181,8 +214,7 @@ fn baselines(
         // Entries written before the mode field existed never match: they
         // mixed quick- and full-mode numbers, so re-seeding the baseline
         // is exactly what we want.
-        let same_mode =
-            entry.get("mode").and_then(|v| v.as_str()) == Some(key.mode.as_str());
+        let same_mode = entry.get("mode").and_then(|v| v.as_str()) == Some(key.mode.as_str());
         if same_rev && same_fp && same_mode {
             matching.push(entry);
         }
@@ -219,56 +251,49 @@ fn collect_metrics(
     perf: Option<&JsonValue>,
     obs: Option<&JsonValue>,
     robustness: Option<&JsonValue>,
-) -> Vec<(String, f64, Limit)> {
-    let mut out: Vec<(String, f64, Limit)> = Vec::new();
+) -> Vec<Reading> {
+    let mut out: Vec<Reading> = Vec::new();
     if let Some(perf) = perf {
         // The report carries its own targets; fall back to the historical
         // CI floors when a field predates them.
         if let Some(v) = number_at(perf, &["sections", "full_run", "ratio"]) {
             let floor = number_at(perf, &["full_run_ratio_target"]).unwrap_or(3.5);
-            out.push(("perf.full_run.ratio".to_string(), v, Limit::Floor(floor)));
+            out.push(Reading::new("perf.full_run.ratio", v, Limit::Floor(floor)));
         }
         if let Some(v) = number_at(perf, &["sweep_sharing", "ratio"]) {
             let floor = number_at(perf, &["sweep_sharing", "target"]).unwrap_or(5.0);
-            out.push((
-                "perf.sweep_sharing.ratio".to_string(),
+            out.push(Reading::new(
+                "perf.sweep_sharing.ratio",
                 v,
                 Limit::Floor(floor),
             ));
         }
         if let Some(v) = number_at(perf, &["location_phase", "ratio"]) {
             let floor = number_at(perf, &["location_phase", "target"]).unwrap_or(3.0);
-            out.push((
-                "perf.location_phase.ratio".to_string(),
-                v,
-                Limit::Floor(floor),
-            ));
-        }
-        if let Some(v) = number_at(perf, &["location_parallel", "efficiency"]) {
-            // Per-worker scaling of the intra-run localization pool: the
-            // serial phase time divided by (parallel time × workers).
-            let floor =
-                number_at(perf, &["location_parallel", "efficiency_target"]).unwrap_or(0.6);
-            out.push((
-                "perf.location_parallel.efficiency".to_string(),
+            out.push(Reading::new(
+                "perf.location_phase.ratio",
                 v,
                 Limit::Floor(floor),
             ));
         }
         if let Some(v) = number_at(perf, &["sweep_scale", "efficiency"]) {
             let floor = number_at(perf, &["sweep_scale", "efficiency_target"]).unwrap_or(0.7);
-            out.push((
-                "perf.sweep_scale.efficiency".to_string(),
-                v,
-                Limit::Floor(floor),
-            ));
+            let mut reading = Reading::new("perf.sweep_scale.efficiency", v, Limit::Floor(floor));
+            // On one core the pool never widens and the efficiency is
+            // trivially 1.0: judging it would pass a gate that never ran.
+            if let Some(cores) = number_at(perf, &["sweep_scale", "cores"]).filter(|&c| c < 2.0) {
+                reading.skip = Some(format!(
+                    "measured on {cores} core(s); scaling efficiency needs at least 2"
+                ));
+            }
+            out.push(reading);
         }
         if let Some(v) = number_at(perf, &["sweep_scale", "warm_ratio"]) {
             // A warm start that probes the index is O(hits): flooding the
             // cache with dead cells must not move its latency.
             let ceiling = number_at(perf, &["sweep_scale", "warm_ratio_target"]).unwrap_or(2.0);
-            out.push((
-                "perf.sweep_scale.warm_ratio".to_string(),
+            out.push(Reading::new(
+                "perf.sweep_scale.warm_ratio",
                 v,
                 Limit::Ceiling(ceiling),
             ));
@@ -278,19 +303,19 @@ fn collect_metrics(
             // `Limit::None`'s baseline check assumes): machine-dependent,
             // so no hard limit, but a rise against the trailing median
             // warns.
-            out.push(("perf.sweep_scale.ns_per_cell".to_string(), v, Limit::None));
+            out.push(Reading::new("perf.sweep_scale.ns_per_cell", v, Limit::None));
         }
         if let Some(v) = number_at(perf, &["alerter", "ns_per_event"]) {
             // Streaming apply cost per event across ≥1000 concurrent
             // deployment machines: machine-dependent, trend-only.
-            out.push(("perf.alerter.ns_per_event".to_string(), v, Limit::None));
+            out.push(Reading::new("perf.alerter.ns_per_event", v, Limit::None));
         }
     }
     if let Some(obs) = obs {
         if let Some(v) = number_at(obs, &["overhead_ratio"]) {
             // The PR-1 invariant: metrics-only instrumentation stays
             // within 5% of a disabled run.
-            out.push(("obs.overhead_ratio".to_string(), v, Limit::Ceiling(1.05)));
+            out.push(Reading::new("obs.overhead_ratio", v, Limit::Ceiling(1.05)));
         }
     }
     if let Some(rob) = robustness {
@@ -302,11 +327,49 @@ fn collect_metrics(
             if let Some(v) = number_at(rob, &[drop]) {
                 // Trend-only: no hard limit, but a baseline regression
                 // (the detector getting worse under faults) warns.
-                out.push((format!("robustness.{drop}"), v, Limit::None));
+                out.push(Reading::new(&format!("robustness.{drop}"), v, Limit::None));
             }
         }
     }
     out
+}
+
+/// Judges each reading against its limit and its history baseline. A
+/// skipped reading gets no baseline and no judgement.
+fn assess(readings: Vec<Reading>, series: &[(String, Vec<f64>)]) -> Vec<Metric> {
+    readings
+        .into_iter()
+        .map(|r| {
+            let baseline = series
+                .iter()
+                .find(|(n, _)| *n == r.name)
+                .and_then(|(_, values)| median(values))
+                .filter(|_| r.skip.is_none());
+            let (verdict, delta_pct) = match r.skip {
+                Some(_) => (Verdict::Skipped, None),
+                None => judge(r.value, r.limit, baseline),
+            };
+            Metric {
+                name: r.name,
+                value: r.value,
+                limit: r.limit,
+                baseline,
+                delta_pct,
+                verdict,
+                skip: r.skip,
+            }
+        })
+        .collect()
+}
+
+/// The worst judged verdict; skipped metrics neither pass nor fail the run.
+fn overall_verdict(metrics: &[Metric]) -> Verdict {
+    metrics
+        .iter()
+        .map(|m| m.verdict)
+        .filter(|&v| v != Verdict::Skipped)
+        .max()
+        .unwrap_or(Verdict::Pass)
 }
 
 fn write_trend_report(
@@ -352,7 +415,12 @@ fn write_trend_report(
             Some(v) => push_json_f64(&mut s, v),
             None => s.push_str("null"),
         }
-        let _ = write!(s, ", \"verdict\": \"{}\"}}", m.verdict.label());
+        let _ = write!(s, ", \"verdict\": \"{}\"", m.verdict.label());
+        if let Some(reason) = &m.skip {
+            s.push_str(", \"reason\": ");
+            push_json_string(&mut s, reason);
+        }
+        s.push('}');
     }
     s.push_str("\n  ],\n");
     let _ = write!(s, "  \"verdict\": \"{}\"\n}}\n", overall.label());
@@ -381,7 +449,10 @@ fn append_history(path: &Path, key: &ReportKey, metrics: &[Metric]) -> std::io::
     line.push_str(",\"mode\":");
     push_json_string(&mut line, &key.mode);
     let _ = write!(line, ",\"recorded_unix\":{recorded},\"metrics\":{{");
-    for (i, m) in metrics.iter().enumerate() {
+    // A skipped value says nothing about this code's performance, so it
+    // must not become a baseline.
+    let judged = metrics.iter().filter(|m| m.verdict != Verdict::Skipped);
+    for (i, m) in judged.enumerate() {
         if i > 0 {
             line.push(',');
         }
@@ -607,29 +678,8 @@ fn main() -> ExitCode {
     }
 
     let (history_entries, series) = baselines(&history_path, &key, args.baseline_window);
-    let metrics: Vec<Metric> = raw
-        .into_iter()
-        .map(|(name, value, limit)| {
-            let baseline = series
-                .iter()
-                .find(|(n, _)| *n == name)
-                .and_then(|(_, values)| median(values));
-            let (verdict, delta_pct) = judge(value, limit, baseline);
-            Metric {
-                name,
-                value,
-                limit,
-                baseline,
-                delta_pct,
-                verdict,
-            }
-        })
-        .collect();
-    let overall = metrics
-        .iter()
-        .map(|m| m.verdict)
-        .max()
-        .unwrap_or(Verdict::Pass);
+    let metrics = assess(raw, &series);
+    let overall = overall_verdict(&metrics);
 
     for m in &metrics {
         let limit = match m.limit {
@@ -641,8 +691,13 @@ fn main() -> ExitCode {
             (Some(b), Some(d)) => format!(" baseline {b:.4} ({d:+.1}%)"),
             _ => String::new(),
         };
+        let reason = m
+            .skip
+            .as_ref()
+            .map(|r| format!(" — {r}"))
+            .unwrap_or_default();
         println!(
-            "{:<5} {} = {:.4}{limit}{baseline}",
+            "{:<7} {} = {:.4}{limit}{baseline}{reason}",
             m.verdict.label().to_uppercase(),
             m.name,
             m.value
@@ -675,5 +730,46 @@ fn main() -> ExitCode {
     } else {
         println!("verdict: {}", overall.label());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep_scale_report(efficiency: f64, cores: u32) -> JsonValue {
+        JsonValue::parse(&format!(
+            "{{\"sweep_scale\": {{\"efficiency\": {efficiency}, \
+             \"efficiency_target\": 0.7, \"cores\": {cores}}}}}"
+        ))
+        .expect("valid report")
+    }
+
+    fn efficiency_metric(efficiency: f64, cores: u32, series: &[(String, Vec<f64>)]) -> Metric {
+        let report = sweep_scale_report(efficiency, cores);
+        assess(collect_metrics(Some(&report), None, None), series)
+            .into_iter()
+            .find(|m| m.name == "perf.sweep_scale.efficiency")
+            .expect("efficiency gated")
+    }
+
+    #[test]
+    fn one_core_efficiency_is_skipped_not_passed() {
+        let history = vec![("perf.sweep_scale.efficiency".to_string(), vec![0.9])];
+        let m = efficiency_metric(1.0, 1, &history);
+        assert_eq!(m.verdict, Verdict::Skipped);
+        assert!(m.skip.as_deref().is_some_and(|r| r.contains("1 core")));
+        assert_eq!(m.baseline, None);
+        // A lone skipped gate neither passes nor fails the run.
+        assert_eq!(overall_verdict(&[m]), Verdict::Pass);
+    }
+
+    #[test]
+    fn two_core_efficiency_is_judged_against_its_floor() {
+        let low = efficiency_metric(0.5, 2, &[]);
+        assert_eq!(low.verdict, Verdict::Fail);
+        assert_eq!(low.skip, None);
+        assert_eq!(overall_verdict(&[low]), Verdict::Fail);
+        assert_eq!(efficiency_metric(0.8, 2, &[]).verdict, Verdict::Pass);
     }
 }

@@ -151,29 +151,16 @@ impl MmseScratch {
 /// [`MmseEstimator`] — same float operations in the
 /// same order — but free of per-call allocation and able to solve filtered
 /// subsets without materializing them. The inner accumulations run through
-/// the lane kernels of [`crate::simd`]; with `fast_math` off (the default)
-/// their exact reduction order keeps the bit-identity contract.
+/// the exact row kernels of `crate::rows`, whose sequential reduction order
+/// keeps the bit-identity contract.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchedMmse {
     /// The scalar solver whose parameters (iterations, tolerance) govern
     /// the batched chain.
     pub inner: MmseEstimator,
-    /// Opt into the reassociated lane reduction (`(p0+p1)+(p2+p3)` over
-    /// four partial accumulators). Faster, but results are only
-    /// tolerance-equal to the scalar chain — leave off anywhere outcomes
-    /// must stay bit-identical.
-    pub fast_math: bool,
 }
 
 impl BatchedMmse {
-    /// The bit-identical solver around `inner` (FastMath off).
-    pub fn exact(inner: MmseEstimator) -> Self {
-        BatchedMmse {
-            inner,
-            fast_math: false,
-        }
-    }
-
     /// Solves over the scratch's active rows.
     ///
     /// # Errors
@@ -187,16 +174,16 @@ impl BatchedMmse {
                 need: self.inner.min_references(),
             });
         }
-        let seed = linear_seed_rows(s, self.fast_math)?;
-        let refined = gauss_newton_rows(&self.inner, seed, s, self.fast_math)?;
+        let seed = linear_seed_rows(s)?;
+        let refined = gauss_newton_rows(&self.inner, seed, s)?;
         Ok(s.estimate_at(refined))
     }
 }
 
 /// Mirror of `mmse::linear_seed` over the active rows, with the row
-/// accumulation delegated to the [`crate::simd`] lane kernel. Keep the
+/// accumulation delegated to the `crate::rows` kernel. Keep the
 /// surrounding solve in lockstep with the scalar version.
-fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError> {
+fn linear_seed_rows(s: &MmseScratch) -> Result<Point2, EstimateError> {
     let &last = s.idx.last().expect("caller checked len >= 3");
     // The active set is the identity exactly when nothing was filtered
     // (`idx` only ever shrinks from `0..len`); route that common case
@@ -207,18 +194,17 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
         // inside the kernel fold away (the loop bound and the slice length
         // become the same value).
         let m = s.idx.len() - 1;
-        crate::simd::seed_accumulate(
+        crate::rows::seed_accumulate(
             &s.ax[..m],
             &s.ay[..m],
             &s.d[..m],
-            crate::simd::Dense(m),
+            crate::rows::Dense(m),
             s.ax[last],
             s.ay[last],
             s.d[last],
-            fast,
         )
     } else {
-        crate::simd::seed_accumulate(
+        crate::rows::seed_accumulate(
             &s.ax,
             &s.ay,
             &s.d,
@@ -226,7 +212,6 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
             s.ax[last],
             s.ay[last],
             s.d[last],
-            fast,
         )
     };
     let (m00, m01, m11) = (acc.m00, acc.m01, acc.m11);
@@ -243,30 +228,28 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
 }
 
 /// Mirror of `MmseEstimator::gauss_newton` over the active rows, with the
-/// per-iteration accumulation delegated to the [`crate::simd`] lane
-/// kernel. Keep the surrounding solve in lockstep with the scalar version.
+/// per-iteration accumulation delegated to the `crate::rows` kernel. Keep
+/// the surrounding solve in lockstep with the scalar version.
 fn gauss_newton_rows(
     est: &MmseEstimator,
     mut p: Point2,
     s: &MmseScratch,
-    fast: bool,
 ) -> Result<Point2, EstimateError> {
     let dense = s.idx.len() == s.ax.len();
     let n = s.idx.len();
     for _ in 0..est.max_iterations {
         let acc = if dense {
             // Trimmed slices: loop bound == slice length, bounds checks fold.
-            crate::simd::gn_accumulate(
+            crate::rows::gn_accumulate(
                 p.x,
                 p.y,
                 &s.ax[..n],
                 &s.ay[..n],
                 &s.d[..n],
-                crate::simd::Dense(n),
-                fast,
+                crate::rows::Dense(n),
             )
         } else {
-            crate::simd::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d, s.idx.as_slice(), fast)
+            crate::rows::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d, s.idx.as_slice())
         };
         let (jtj00, jtj01, jtj11) = (acc.jtj00, acc.jtj01, acc.jtj11);
         let jtr = Vector2::new(acc.jtrx, acc.jtry);

@@ -49,7 +49,7 @@ mod minmax;
 mod mmse;
 mod reference;
 mod robust;
-pub(crate) mod simd;
+pub(crate) mod rows;
 
 pub use batch::{BatchedMmse, MmseScratch};
 pub use centroid::CentroidEstimator;

@@ -98,14 +98,14 @@ impl ResidualFilterEstimator {
         scratch: &mut MmseScratch,
     ) -> Result<Estimate, EstimateError> {
         scratch.load(refs);
-        let solver = BatchedMmse::exact(self.inner);
+        let solver = BatchedMmse { inner: self.inner };
         loop {
             let est = solver.estimate(scratch)?;
             // Lane-unrolled scan in active order, exactly like the
             // Vec-backed loop (same max_by tie-break); the index list
             // undergoes the same swap_remove permutation the working Vec
             // did, so the scan order stays in lockstep.
-            let (worst_pos, worst_abs) = crate::simd::worst_abs_residual(
+            let (worst_pos, worst_abs) = crate::rows::worst_abs_residual(
                 est.position.x,
                 est.position.y,
                 &scratch.ax,
@@ -198,7 +198,7 @@ impl ConsensusEstimator {
             let Ok(candidate) = self.inner.estimate(&subset) else {
                 continue; // collinear minimal sample
             };
-            let count = crate::simd::count_within(
+            let count = crate::rows::count_within(
                 candidate.position.x,
                 candidate.position.y,
                 &scratch.ax,
@@ -222,7 +222,7 @@ impl ConsensusEstimator {
             (winner.distance(secloc_geometry::Point2::new(ax[i], ay[i])) - d[i]).abs()
                 <= self.inlier_threshold_ft
         });
-        BatchedMmse::exact(self.inner).estimate(scratch)
+        BatchedMmse { inner: self.inner }.estimate(scratch)
     }
 }
 

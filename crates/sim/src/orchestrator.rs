@@ -186,9 +186,6 @@ struct WorkerCtx<'a> {
     keys: &'a [CellKey],
     obs: &'a Obs,
     flight: Option<&'a (Arc<FlightRecorder>, PathBuf)>,
-    /// Per-unit localization thread budget (0/1 = serial); already divided
-    /// by the sweep pool size so the machine is never oversubscribed.
-    location_workers: usize,
 }
 
 impl WorkerCtx<'_> {
@@ -241,17 +238,13 @@ fn run_unit(
     if unit.len() == 1 {
         let outcome = ctx.run_cell(first, "miss", |cell_obs| {
             Runner::new(cells[first].config.clone(), cells[first].seed)
-                .run(
-                    RunOptions::new()
-                        .observed(cell_obs)
-                        .location_workers(ctx.location_workers),
-                )
+                .run(RunOptions::new().observed(cell_obs))
                 .outcome
         });
         return tx.send((first, outcome)).map_err(drop);
     }
     let base = Runner::new(cells[first].config.clone(), cells[first].seed);
-    let stage = base.probe_stage_with(ctx.location_workers);
+    let stage = base.probe_stage();
     // One impact memo per shared stage: cells whose revocation verdicts
     // drop the same reference subsets share the re-estimation work.
     let mut memo = ImpactMemo::new();
@@ -271,11 +264,7 @@ fn run_unit(
                 // run is always a correct (if slower) answer.
                 Err(_) => ctx.run_cell(i, "miss", |cell_obs| {
                     Runner::new(cells[i].config.clone(), cells[i].seed)
-                        .run(
-                            RunOptions::new()
-                                .observed(cell_obs)
-                                .location_workers(ctx.location_workers),
-                        )
+                        .run(RunOptions::new().observed(cell_obs))
                         .outcome
                 }),
             }
@@ -879,7 +868,6 @@ fn claim_batch(cursor: &AtomicUsize, total: usize, workers: usize) -> std::ops::
 #[derive(Debug)]
 pub struct Orchestrator {
     workers: usize,
-    location_workers: usize,
     cache_path: Option<PathBuf>,
     cache_format: CacheFormat,
     checkpoint_path: Option<PathBuf>,
@@ -893,7 +881,6 @@ impl Default for Orchestrator {
     fn default() -> Self {
         Orchestrator {
             workers: 0,
-            location_workers: 0,
             cache_path: None,
             cache_format: CacheFormat::Auto,
             checkpoint_path: None,
@@ -927,20 +914,6 @@ impl Orchestrator {
     /// are identical for every worker count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Grants each simulation a budget of `n` intra-run localization
-    /// worker threads (see [`RunOptions::location_workers`]). To avoid
-    /// oversubscribing the machine the budget is *divided across the
-    /// sweep pool*: with `w` sweep workers each unit solves its
-    /// localization chain on `n / w` threads, and a share of 0 or 1
-    /// degrades to the in-line serial path. The default of 0 keeps every
-    /// unit serial. Outcomes, cache bytes and checkpoint bytes are
-    /// bit-identical for every budget — the per-sensor solves merge in
-    /// sensor order.
-    pub fn location_workers(mut self, n: usize) -> Self {
-        self.location_workers = n;
         self
     }
 
@@ -1156,15 +1129,6 @@ impl Orchestrator {
         };
         let workers = requested.min(units.len());
         obs.set_gauge("sweep.workers", workers as i64);
-        // Split the localization budget across the sweep pool so the two
-        // levels of parallelism multiply to at most the requested budget;
-        // a share of 0 or 1 means every unit runs its chain in-line.
-        let unit_location_workers = if workers == 0 {
-            0
-        } else {
-            self.location_workers / workers
-        };
-        obs.set_gauge("sweep.location_workers", unit_location_workers as i64);
         // Queue order: largest units first (unit size is the one cost
         // signal known up front), stable within equal sizes so a uniform
         // grid still drains in sweep order. Scheduling order is invisible
@@ -1279,7 +1243,6 @@ impl Orchestrator {
                         keys: &keys,
                         obs: &obs,
                         flight,
-                        location_workers: unit_location_workers,
                     };
                     handles.push(scope.spawn(move || {
                         let alive = Instant::now();

@@ -22,7 +22,6 @@ use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimat
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
 use secloc_radio::{Cycles, EventQueue};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A reference a sensor kept for localization, tagged with its source.
 #[derive(Debug, Clone, Copy)]
@@ -101,63 +100,6 @@ impl ScheduledPairs {
     }
 }
 
-/// Claims the next batch of indices off the shared cursor — the same
-/// shrinking-batch shape as the sweep scheduler's work-stealing loop, so
-/// workers take big bites while the range is full and finish together as
-/// it drains.
-fn claim_batch(cursor: &AtomicUsize, total: usize, workers: usize) -> Option<std::ops::Range<usize>> {
-    loop {
-        let start = cursor.load(Ordering::SeqCst);
-        if start >= total {
-            return None;
-        }
-        let remaining = total - start;
-        let take = (remaining / (workers * 4)).clamp(1, remaining);
-        if cursor
-            .compare_exchange(start, start + take, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return Some(start..start + take);
-        }
-    }
-}
-
-/// Maps `f` over `0..total` on `workers` scoped threads — each thread
-/// owns one state value from `make_state` (a pre-sized scratch, in
-/// practice) — and returns the results **in index order** regardless of
-/// which thread computed what. Callers fold the returned vec serially,
-/// so any accumulation stays bit-identical to an in-line loop.
-fn parallel_index_map<S, T, FS, F>(total: usize, workers: usize, make_state: FS, f: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let mut chunks: Vec<(usize, Vec<T>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_state();
-                    let mut out: Vec<(usize, Vec<T>)> = Vec::new();
-                    while let Some(range) = claim_batch(&cursor, total, workers) {
-                        let start = range.start;
-                        out.push((start, range.map(|i| f(i, &mut state)).collect()));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("location worker panicked"))
-            .collect()
-    });
-    chunks.sort_unstable_by_key(|&(start, _)| start);
-    chunks.into_iter().flat_map(|(_, batch)| batch).collect()
-}
-
 /// Everything phases 1–2 produce that the revocation/impact phases
 /// consume, plus the `order_rng` state at phase-3 entry. A `StageCore` is
 /// a pure function of the deployment, the seed, and the probe-relevant
@@ -188,7 +130,7 @@ struct ImpactPrecompute {
 /// A snapshot of the probe stage (detection + location discovery) of a
 /// plain optimized run, reusable by every sweep cell that shares the
 /// deployment and the probe-relevant policy fields. Produced by
-/// [`Runner::probe_stage`], consumed by [`Runner::finish_from_stage`].
+/// [`Runner::probe_stage`], consumed by [`Runner::finish_from_stage_memo`].
 #[derive(Debug)]
 pub struct ProbeStage {
     core: StageCore,
@@ -244,7 +186,6 @@ pub struct RunOptions<'a> {
     observed: Option<&'a Obs>,
     reference: bool,
     faults: Option<FaultPlan>,
-    location_workers: usize,
 }
 
 impl<'a> RunOptions<'a> {
@@ -287,20 +228,6 @@ impl<'a> RunOptions<'a> {
     /// even when the configuration carries a plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Solve the per-sensor localization chain of the impact phase on a
-    /// scoped pool of `n` worker threads (`0` — the default — and `1` both
-    /// mean in-line serial). Workers claim sensor batches off an atomic
-    /// cursor, each with its own pre-sized `MmseScratch`, and the per-
-    /// sensor contributions are merged back in sensor order before the
-    /// mean is folded — so outcomes and RNG streams are bit-identical to
-    /// the serial run (`tests/parallel_equivalence.rs` is the oracle).
-    /// Lives on the options, not `SimConfig`, so it can never perturb
-    /// sweep cell keys or config fingerprints.
-    pub fn location_workers(mut self, n: usize) -> Self {
-        self.location_workers = n;
         self
     }
 }
@@ -399,8 +326,7 @@ impl Runner {
             .faults
             .as_ref()
             .unwrap_or(&self.deployment.config().faults);
-        let (outcome, trace) =
-            self.run_impl(telemetry, !options.reference, plan, options.location_workers);
+        let (outcome, trace) = self.run_impl(telemetry, !options.reference, plan);
         RunOutput {
             outcome,
             trace: options.traced.then_some(trace),
@@ -416,51 +342,26 @@ impl Runner {
     /// probe-relevant policy fields (ε_max, `m`, `p_d`, `attacker_p`,
     /// `lie_offset_ft`); the revocation knobs (τ, τ′, collusion, alert
     /// loss/retransmissions) are untouched, so one stage serves every cell
-    /// of a revocation-axis sweep via [`Runner::finish_from_stage`].
+    /// of a revocation-axis sweep via [`Runner::finish_from_stage_memo`].
     pub fn probe_stage(&self) -> ProbeStage {
-        self.probe_stage_with(0)
-    }
-
-    /// [`Runner::probe_stage`] with the τ-independent impact precompute
-    /// solved on `workers` threads (`0`/`1` = serial; see
-    /// [`RunOptions::location_workers`]). Bit-identical snapshots either
-    /// way — the per-sensor solves are pure and the accumulation is merged
-    /// in sensor order.
-    pub fn probe_stage_with(&self, workers: usize) -> ProbeStage {
         let disabled = Obs::disabled();
         let plan = self.deployment.config().faults.clone();
         let core = self.stage_phases(&disabled, true, &plan);
-        let impact = self.impact_precompute(&core, workers);
+        let impact = self.impact_precompute(&core);
         ProbeStage { core, impact }
-    }
-
-    /// Re-solves the τ-independent per-sensor localization chain of
-    /// `stage`'s probe snapshot on `workers` threads and returns how many
-    /// sensors produced an estimate. The solve result is discarded — this
-    /// exists so the perf harness can time the parallel localization
-    /// pipeline in isolation from the (inherently serial, RNG-ordered)
-    /// probing phases, and so callers can check a worker count changes
-    /// nothing.
-    pub fn solve_impact_chain(&self, stage: &ProbeStage, workers: usize) -> usize {
-        self.impact_precompute(&stage.core, workers).n_b
     }
 
     /// Completes a plain optimized run from a shared probe-stage snapshot:
     /// bit-identical to `self.run(RunOptions::new()).outcome` when `stage`
     /// came from a runner agreeing with `self` on the seed, the topology,
     /// and every probe-relevant policy field (the equivalence suite is the
-    /// oracle). Only the revocation and impact phases execute.
-    pub fn finish_from_stage(&self, stage: &ProbeStage) -> SimOutcome {
-        self.finish_from_stage_inner(stage, None, &Obs::disabled())
-    }
-
-    /// [`Runner::finish_from_stage`] with a cross-cell [`ImpactMemo`]:
-    /// bit-identical outcomes (the memo caches pure-function results), but
-    /// sensors whose dropped-reference subset repeats across the cells of
-    /// one shared stage are re-estimated only once. The memo must be fresh
-    /// for each distinct [`ProbeStage`].
+    /// oracle). Only the revocation and impact phases execute. The
+    /// cross-cell [`ImpactMemo`] caches pure-function results, so sensors
+    /// whose dropped-reference subset repeats across the cells of one
+    /// shared stage are re-estimated only once; it must be fresh for each
+    /// distinct [`ProbeStage`].
     pub fn finish_from_stage_memo(&self, stage: &ProbeStage, memo: &mut ImpactMemo) -> SimOutcome {
-        self.finish_from_stage_inner(stage, Some(memo), &Obs::disabled())
+        self.finish_from_stage_inner(stage, memo, &Obs::disabled())
     }
 
     /// [`Runner::finish_from_stage_memo`] with telemetry: the revocation
@@ -476,13 +377,13 @@ impl Runner {
         memo: &mut ImpactMemo,
         telemetry: &Obs,
     ) -> SimOutcome {
-        self.finish_from_stage_inner(stage, Some(memo), telemetry)
+        self.finish_from_stage_inner(stage, memo, telemetry)
     }
 
     fn finish_from_stage_inner(
         &self,
         stage: &ProbeStage,
-        memo: Option<&mut ImpactMemo>,
+        memo: &mut ImpactMemo,
         telemetry: &Obs,
     ) -> SimOutcome {
         let plan = self.deployment.config().faults.clone();
@@ -493,20 +394,12 @@ impl Runner {
             &stage.core,
             stage.core.benign_alerts.clone(),
             stage.core.order_rng.clone(),
-            Some(&stage.impact),
-            memo,
-            0,
+            Some((&stage.impact, memo)),
         );
         outcome
     }
 
-    fn run_impl(
-        &self,
-        telemetry: &Obs,
-        optimized: bool,
-        plan: &FaultPlan,
-        location_workers: usize,
-    ) -> (SimOutcome, Trace) {
+    fn run_impl(&self, telemetry: &Obs, optimized: bool, plan: &FaultPlan) -> (SimOutcome, Trace) {
         let mut core = self.stage_phases(telemetry, optimized, plan);
         let benign_alerts = std::mem::take(&mut core.benign_alerts);
         let order_rng = core.order_rng.clone();
@@ -518,8 +411,6 @@ impl Runner {
             benign_alerts,
             order_rng,
             None,
-            None,
-            location_workers,
         )
     }
 
@@ -759,52 +650,30 @@ impl Runner {
     /// The τ-independent slice of the impact phase, accumulated in sensor
     /// order with exactly the float operations of the in-run single-pass
     /// computation (so a shared-stage mean is bit-identical to a fresh
-    /// run's). Solves run on the lane-kernel [`BatchedMmse`] over a
-    /// pre-sized [`MmseScratch`]; with `workers` ≥ 2 the per-sensor
-    /// solves fan out over scoped threads and are merged back in sensor
-    /// order before the fold, which cannot change the sums.
-    fn impact_precompute(&self, core: &StageCore, workers: usize) -> ImpactPrecompute {
+    /// run's). Solves run on the row-kernel [`BatchedMmse`] over one
+    /// pre-sized [`MmseScratch`].
+    fn impact_precompute(&self, core: &StageCore) -> ImpactPrecompute {
         let d = &self.deployment;
         let cfg = d.config();
         let batched = BatchedMmse::default();
         let field = secloc_geometry::Field::square(cfg.field_side_ft);
         let cap = d.max_audible_len();
-        let solve_one = |w: u32, scratch: &mut MmseScratch| -> Option<f64> {
+        let mut scratch = MmseScratch::with_capacity(cap);
+        let cap0 = scratch.capacity();
+        let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
+        let (mut sum_b, mut n_b) = (0.0f64, 0usize);
+        for w in d.sensors() {
             let ks = &core.kept[w as usize];
             debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
             scratch.load_from_iter(ks.iter().map(|k| k.reference));
-            batched
-                .estimate(scratch)
-                .ok()
-                .map(|est| field.clamp(est.position).distance(d.position(w)))
-        };
-        let sensor0 = cfg.beacons;
-        let total = (cfg.nodes - cfg.beacons) as usize;
-        let per_sensor: Vec<Option<f64>> = if workers >= 2 {
-            parallel_index_map(
-                total,
-                workers,
-                || MmseScratch::with_capacity(cap),
-                |i, scratch| solve_one(sensor0 + i as u32, scratch),
-            )
-        } else {
-            let mut scratch = MmseScratch::with_capacity(cap);
-            let cap0 = scratch.capacity();
-            let out = (0..total)
-                .map(|i| solve_one(sensor0 + i as u32, &mut scratch))
-                .collect();
-            debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
-            out
-        };
-        let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
-        let (mut sum_b, mut n_b) = (0.0f64, 0usize);
-        for (i, c) in per_sensor.into_iter().enumerate() {
-            if let Some(c) = c {
-                before[sensor0 as usize + i] = Some(c);
+            if let Ok(est) = batched.estimate(&scratch) {
+                let c = field.clamp(est.position).distance(d.position(w));
+                before[w as usize] = Some(c);
                 sum_b += c;
                 n_b += 1;
             }
         }
+        debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
         ImpactPrecompute { before, sum_b, n_b }
     }
 
@@ -812,7 +681,8 @@ impl Runner {
     /// `benign_alerts` and `order_rng` are owned copies because phase 3a
     /// shuffles the former and advances the latter. With `shared` set, the
     /// impact phase reuses the τ-independent precompute and re-estimates
-    /// only sensors that lost a reference to revocation.
+    /// only sensors that lost a reference to revocation, consulting the
+    /// cross-cell memo first.
     #[allow(clippy::too_many_arguments)]
     fn finish_phases(
         &self,
@@ -822,9 +692,7 @@ impl Runner {
         core: &StageCore,
         benign_alerts: Vec<Alert>,
         mut order_rng: StdRng,
-        shared: Option<&ImpactPrecompute>,
-        memo: Option<&mut ImpactMemo>,
-        location_workers: usize,
+        shared: Option<(&ImpactPrecompute, &mut ImpactMemo)>,
     ) -> (SimOutcome, Trace) {
         let mut trace = Trace::new();
         let d = &self.deployment;
@@ -999,9 +867,9 @@ impl Runner {
         let revoked: Vec<bool> = (0..cfg.beacons)
             .map(|b| station.is_revoked(NodeId(b)))
             .collect();
-        let workers_used = if optimized { location_workers.max(1) } else { 1 };
-        telemetry.set_gauge("run.location_workers", location_workers as i64);
-        telemetry.set_gauge("impact.workers", workers_used as i64);
+        // Localization is serial-only, so this is always 0; it stays because
+        // the benchmark's traced runs check it.
+        telemetry.set_gauge("run.location_workers", 0);
         let mean_error = |filter_revoked: bool| -> Option<f64> {
             let mut sum = 0.0;
             let mut n = 0usize;
@@ -1027,66 +895,46 @@ impl Runner {
             (n > 0).then(|| sum / n as f64)
         };
 
-        // Single pass over the sensors on the lane-kernel solver with a
+        // Single pass over the sensors on the row-kernel solver with a
         // reused pre-sized scratch; when revocation removed none of a
         // sensor's references the second (filtered) estimate is the same
         // pure function of the same inputs, so the first result is reused
-        // instead of recomputed. Per-sensor contributions are folded in
-        // sensor order whether solved in-line or on worker threads, and
-        // the per-accumulator addition order matches the two-pass
-        // reference, so the means are bit-identical either way.
+        // instead of recomputed. The per-accumulator addition order
+        // matches the two-pass reference, so the means are bit-identical.
         let batched = BatchedMmse::default();
         let cap = d.max_audible_len();
-        let sensor0 = cfg.beacons;
-        let sensor_total = (cfg.nodes - cfg.beacons) as usize;
-        let solve_pair = |w: u32, scratch: &mut MmseScratch| -> (Option<f64>, Option<f64>) {
-            let ks = &kept[w as usize];
-            debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
-            scratch.load_from_iter(ks.iter().map(|k| k.reference));
-            let before = batched
-                .estimate(scratch)
-                .ok()
-                .map(|est| field.clamp(est.position).distance(d.position(w)));
-            let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
-                before // nothing filtered: identical inputs
-            } else {
-                scratch.retain(|i| !revoked[ks[i].beacon as usize]);
-                batched
-                    .estimate(scratch)
-                    .ok()
-                    .map(|est| field.clamp(est.position).distance(d.position(w)))
-            };
-            (before, after)
-        };
-        let mean_errors_single_pass = |workers: usize| -> (Option<f64>, Option<f64>) {
-            let pairs: Vec<(Option<f64>, Option<f64>)> = if workers >= 2 {
-                parallel_index_map(
-                    sensor_total,
-                    workers,
-                    || MmseScratch::with_capacity(cap),
-                    |i, scratch| solve_pair(sensor0 + i as u32, scratch),
-                )
-            } else {
-                let mut scratch = MmseScratch::with_capacity(cap);
-                let cap0 = scratch.capacity();
-                let out = (0..sensor_total)
-                    .map(|i| solve_pair(sensor0 + i as u32, &mut scratch))
-                    .collect();
-                debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
-                out
-            };
+        let mean_errors_single_pass = || -> (Option<f64>, Option<f64>) {
+            let mut scratch = MmseScratch::with_capacity(cap);
+            let cap0 = scratch.capacity();
             let (mut sum_b, mut n_b) = (0.0f64, 0usize);
             let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-            for (b, a) in pairs {
-                if let Some(c) = b {
+            for w in d.sensors() {
+                let ks = &kept[w as usize];
+                debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
+                scratch.load_from_iter(ks.iter().map(|k| k.reference));
+                let before = batched
+                    .estimate(&scratch)
+                    .ok()
+                    .map(|est| field.clamp(est.position).distance(d.position(w)));
+                let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
+                    before // nothing filtered: identical inputs
+                } else {
+                    scratch.retain(|i| !revoked[ks[i].beacon as usize]);
+                    batched
+                        .estimate(&scratch)
+                        .ok()
+                        .map(|est| field.clamp(est.position).distance(d.position(w)))
+                };
+                if let Some(c) = before {
                     sum_b += c;
                     n_b += 1;
                 }
-                if let Some(c) = a {
+                if let Some(c) = after {
                     sum_a += c;
                     n_a += 1;
                 }
             }
+            debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
             (
                 (n_b > 0).then(|| sum_b / n_b as f64),
                 (n_a > 0).then(|| sum_a / n_a as f64),
@@ -1098,15 +946,12 @@ impl Runner {
             // only sensors that actually lost a reference to revocation
             // are re-estimated here. Revocation state is materialized as a
             // bitmap so the inner loops avoid per-reference hash lookups.
-            Some(pre) => {
+            Some((pre, memo)) => {
                 let (mut sum_a, mut n_a) = (0.0f64, 0usize);
                 let mut scratch = MmseScratch::with_capacity(cap);
                 let cap0 = scratch.capacity();
-                let mut memo = memo;
-                if let Some(m) = memo.as_deref_mut() {
-                    if m.per_sensor.len() < cfg.nodes as usize {
-                        m.per_sensor.resize(cfg.nodes as usize, Vec::new());
-                    }
+                if memo.per_sensor.len() < cfg.nodes as usize {
+                    memo.per_sensor.resize(cfg.nodes as usize, Vec::new());
                 }
                 for w in d.sensors() {
                     let ks = &kept[w as usize];
@@ -1137,12 +982,12 @@ impl Runner {
                             .ok()
                             .map(|est| field.clamp(est.position).distance(d.position(w)))
                     };
-                    let contribution = match (dropped, memo.as_deref_mut()) {
+                    let contribution = match dropped {
                         // Nothing dropped: identical inputs, reuse the
                         // shared pre-revocation estimate.
-                        (Some(0), _) => pre.before[w as usize],
-                        (Some(mask), Some(m)) => {
-                            let entries = &mut m.per_sensor[w as usize];
+                        Some(0) => pre.before[w as usize],
+                        Some(mask) => {
+                            let entries = &mut memo.per_sensor[w as usize];
                             match entries.iter().find(|&&(key, _)| key == mask) {
                                 Some(&(_, c)) => c,
                                 None => {
@@ -1152,7 +997,7 @@ impl Runner {
                                 }
                             }
                         }
-                        _ => solve(&mut scratch),
+                        None => solve(&mut scratch),
                     };
                     if let Some(c) = contribution {
                         sum_a += c;
@@ -1165,7 +1010,7 @@ impl Runner {
                     (n_a > 0).then(|| sum_a / n_a as f64),
                 )
             }
-            None if optimized => mean_errors_single_pass(workers_used),
+            None if optimized => mean_errors_single_pass(),
             None => (mean_error(false), mean_error(true)),
         };
 
@@ -1327,6 +1172,9 @@ mod tests {
         let base_cfg = small_cfg(0.6);
         let base = Runner::new(base_cfg.clone(), 17);
         let stage = base.probe_stage();
+        // One memo across every cell, so later cells exercise memo hits
+        // and each one is still checked against a fresh run.
+        let mut memo = ImpactMemo::new();
         for (tau, tau_prime, collusion, loss, retx) in [
             (2, 2, true, 0.1, 8),
             (1, 1, true, 0.1, 8),
@@ -1343,7 +1191,7 @@ mod tests {
             let cell = Runner::from_deployment(
                 base.deployment().with_policy(cfg.clone()).expect("policy"),
             );
-            let staged = cell.finish_from_stage(&stage);
+            let staged = cell.finish_from_stage_memo(&stage, &mut memo);
             let fresh = Runner::new(cfg, 17).run(RunOptions::new()).outcome;
             assert_eq!(staged, fresh, "tau={tau} tau'={tau_prime}");
         }
@@ -1357,7 +1205,7 @@ mod tests {
             .with_churn(ChurnSpec::random(0.2, 0.5));
         let r = Runner::new(cfg.clone(), 31);
         let stage = r.probe_stage();
-        let staged = r.finish_from_stage(&stage);
+        let staged = r.finish_from_stage_memo(&stage, &mut ImpactMemo::new());
         let plain = r.run(RunOptions::new()).outcome;
         assert_eq!(staged, plain);
     }

@@ -107,6 +107,9 @@ fn instrumented_counters_agree_with_outcome() {
         snap.gauge("sim.revoked_benign"),
         Some(outcome.revoked_benign as i64)
     );
+    // The benchmark's traced check reads this gauge; localization is
+    // serial-only, so it always reports 0.
+    assert_eq!(snap.gauge("run.location_workers"), Some(0));
     // Every base-station decision on a delivered alert is accounted for.
     let decisions: u64 = [
         "bs.alert.accepted",

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --example sweep -- \
-//!     [--p 0.1,0.3,0.5] [--seeds 5] [--workers 0] [--location-workers 0] \
+//!     [--p 0.1,0.3,0.5] [--seeds 5] [--workers 0] \
 //!     [--nodes 1000 --beacons 100 --malicious 10] \
 //!     [--cache results/sweep_cache.jsonl] \
 //!     [--cache-format auto|jsonl|binary] \
@@ -52,7 +52,6 @@ struct Args {
     p_values: Vec<f64>,
     seeds: u64,
     workers: usize,
-    location_workers: usize,
     nodes: u32,
     beacons: u32,
     malicious: u32,
@@ -70,7 +69,6 @@ fn parse_args() -> Args {
         p_values: vec![0.1, 0.3, 0.5, 0.7, 0.9],
         seeds: 5,
         workers: 0,
-        location_workers: 0,
         nodes: 300,
         beacons: 30,
         malicious: 3,
@@ -100,14 +98,6 @@ fn parse_args() -> Args {
                 args.workers = value("--workers")
                     .parse()
                     .expect("--workers takes an integer")
-            }
-            "--location-workers" => {
-                // Intra-run localization thread budget, divided across the
-                // sweep pool (see Orchestrator::location_workers); outcomes
-                // are bit-identical at any value.
-                args.location_workers = value("--location-workers")
-                    .parse()
-                    .expect("--location-workers takes an integer")
             }
             "--nodes" => args.nodes = value("--nodes").parse().expect("--nodes takes an integer"),
             "--beacons" => {
@@ -293,7 +283,6 @@ fn main() {
         .map(|_| Arc::new(FlightRecorder::new(4096)));
     let mut orch = Orchestrator::new()
         .workers(args.workers)
-        .location_workers(args.location_workers)
         .cache_format(args.cache_format)
         .observed(&obs);
     if let Some(cache) = &args.cache {

@@ -20,6 +20,7 @@ use secloc_core::{
 };
 use secloc_obs::{fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
+use std::io::{self, BufRead};
 
 /// Deployment keys become trace ids by FNV-1a, the workspace's standard
 /// content hash, except keys that already *are* 16-hex trace ids (sweep
@@ -197,6 +198,19 @@ impl Alerter {
         }
     }
 
+    /// Ingests every line `reader` yields until end of input, reusing one
+    /// line buffer; trailing `\r`/`\n` are trimmed before parsing.
+    pub fn ingest_reader(&mut self, mut reader: impl BufRead) -> io::Result<()> {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            if reader.read_line(&mut line)? == 0 {
+                return Ok(());
+            }
+            self.ingest_line(line.trim_end_matches(['\r', '\n']));
+        }
+    }
+
     /// Ingests one decoded event.
     pub fn ingest(&mut self, event: WireEvent) {
         match event {
@@ -368,6 +382,9 @@ impl Alerter {
             match *action {
                 ProtocolAction::Decided { outcome, .. } => {
                     computed = Some(outcome);
+                    if !slot.obs.sink_attached() {
+                        continue;
+                    }
                     let mut fields = vec![
                         ("reporter", Value::U64(reporter as u64)),
                         ("target", Value::U64(target as u64)),

@@ -17,7 +17,7 @@
 //! the alerter has no use for); anything that doesn't parse is a
 //! malformed line, which the service counts and survives.
 
-use secloc_obs::json::JsonValue;
+use secloc_obs::json::{scan_object, JsonRef};
 
 /// One decoded input line, normalized across the two dialects.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,67 +69,114 @@ pub enum WireEvent {
     Ignored,
 }
 
-fn str_of(v: Option<&JsonValue>) -> Option<String> {
-    v.and_then(|v| v.as_str()).map(str::to_string)
+/// The first occurrence of each field the alerter reads (later duplicates
+/// are ignored, as [`JsonValue::get`](secloc_obs::json::JsonValue::get)
+/// ignores them), borrowed from the line.
+#[derive(Default)]
+struct Fields<'a> {
+    kind: Option<JsonRef<'a>>,
+    cell: Option<JsonRef<'a>>,
+    deployment: Option<JsonRef<'a>>,
+    tau: Option<JsonRef<'a>>,
+    tau_prime: Option<JsonRef<'a>>,
+    seed: Option<JsonRef<'a>>,
+    reporter: Option<JsonRef<'a>>,
+    target: Option<JsonRef<'a>>,
+    source: Option<JsonRef<'a>>,
+    outcome: Option<JsonRef<'a>>,
+    cache: Option<JsonRef<'a>>,
 }
 
-fn u32_of(v: Option<&JsonValue>, field: &str) -> Result<u32, String> {
+impl<'a> Fields<'a> {
+    fn visit(&mut self, key: &str, value: JsonRef<'a>) {
+        let field = match key {
+            "kind" => &mut self.kind,
+            "cell" => &mut self.cell,
+            "deployment" => &mut self.deployment,
+            "tau" => &mut self.tau,
+            "tau_prime" => &mut self.tau_prime,
+            "seed" => &mut self.seed,
+            "reporter" => &mut self.reporter,
+            "target" => &mut self.target,
+            "source" => &mut self.source,
+            "outcome" => &mut self.outcome,
+            "cache" => &mut self.cache,
+            _ => return,
+        };
+        if field.is_none() {
+            *field = Some(value);
+        }
+    }
+
+    /// The demultiplexing key: `cell` (sweep convention) wins over
+    /// `deployment` (live convention).
+    fn deployment(&self) -> Option<String> {
+        str_of(&self.cell).or_else(|| str_of(&self.deployment))
+    }
+}
+
+fn str_of(v: &Option<JsonRef>) -> Option<String> {
+    v.as_ref().and_then(JsonRef::as_str).map(str::to_string)
+}
+
+fn u32_of(v: &Option<JsonRef>, field: &str) -> Result<u32, String> {
     let raw = v
-        .and_then(|v| v.as_u64())
+        .as_ref()
+        .and_then(JsonRef::as_u64)
         .ok_or_else(|| format!("missing or non-u64 \"{field}\""))?;
     u32::try_from(raw).map_err(|_| format!("\"{field}\" {raw} exceeds u32"))
 }
 
-/// The demultiplexing key: `cell` (sweep convention) wins over
-/// `deployment` (live convention).
-fn deployment_of(obj: &JsonValue) -> Option<String> {
-    str_of(obj.get("cell")).or_else(|| str_of(obj.get("deployment")))
+/// An optional `u32` field: absent is `None`, present must be a `u32`.
+fn maybe_u32(v: &Option<JsonRef>, field: &str) -> Result<Option<u32>, String> {
+    match v {
+        None => Ok(None),
+        some => u32_of(some, field).map(Some),
+    }
 }
 
 /// Parses one input line. `Err` is a malformed line (invalid JSON, no
 /// `kind`, or a recognized kind missing a contract field) with the reason;
 /// the service survives these, counts them, and surfaces them through the
 /// malformed-input health detector.
+///
+/// The line is scanned in place ([`scan_object`]): the fields the alerter
+/// reads are kept as borrowed views, and no JSON tree is built.
 pub fn parse_line(line: &str) -> Result<WireEvent, String> {
-    let obj = JsonValue::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    if obj.as_object().is_none() {
+    let mut f = Fields::default();
+    let is_object = scan_object(line, |key, value| f.visit(key, value))
+        .map_err(|e| format!("invalid JSON: {e}"))?;
+    if !is_object {
         return Err("line is not a JSON object".to_string());
     }
-    let kind = obj
-        .get("kind")
-        .and_then(|k| k.as_str())
+    let kind = f
+        .kind
+        .as_ref()
+        .and_then(JsonRef::as_str)
         .ok_or_else(|| "missing or non-string \"kind\"".to_string())?;
     match kind {
-        "cell.start" | "deploy.start" => {
-            let deployment = deployment_of(&obj)
-                .ok_or_else(|| format!("{kind} missing \"cell\"/\"deployment\""))?;
-            let maybe_u32 = |field: &str| -> Result<Option<u32>, String> {
-                match obj.get(field) {
-                    None => Ok(None),
-                    some => u32_of(some, field).map(Some),
-                }
-            };
-            Ok(WireEvent::DeployStart {
-                deployment,
-                tau: maybe_u32("tau")?,
-                tau_prime: maybe_u32("tau_prime")?,
-                seed: obj.get("seed").and_then(|v| v.as_u64()),
-            })
-        }
+        "cell.start" | "deploy.start" => Ok(WireEvent::DeployStart {
+            deployment: f
+                .deployment()
+                .ok_or_else(|| format!("{kind} missing \"cell\"/\"deployment\""))?,
+            tau: maybe_u32(&f.tau, "tau")?,
+            tau_prime: maybe_u32(&f.tau_prime, "tau_prime")?,
+            seed: f.seed.as_ref().and_then(JsonRef::as_u64),
+        }),
         "bs.alert" | "alert" => Ok(WireEvent::Accusation {
-            deployment: deployment_of(&obj),
-            reporter: u32_of(obj.get("reporter"), "reporter")?,
-            target: u32_of(obj.get("target"), "target")?,
-            source: str_of(obj.get("source")),
-            recorded_outcome: str_of(obj.get("outcome")),
+            deployment: f.deployment(),
+            reporter: u32_of(&f.reporter, "reporter")?,
+            target: u32_of(&f.target, "target")?,
+            source: str_of(&f.source),
+            recorded_outcome: str_of(&f.outcome),
         }),
         "revocation" => Ok(WireEvent::RecordedRevocation {
-            deployment: deployment_of(&obj),
-            target: u32_of(obj.get("target"), "target")?,
+            deployment: f.deployment(),
+            target: u32_of(&f.target, "target")?,
         }),
         "cell.complete" | "deploy.end" => Ok(WireEvent::DeployEnd {
-            deployment: deployment_of(&obj),
-            cache: str_of(obj.get("cache")),
+            deployment: f.deployment(),
+            cache: str_of(&f.cache),
         }),
         _ => Ok(WireEvent::Ignored),
     }

@@ -56,6 +56,29 @@ fn garbage_between_valid_lines_changes_nothing() {
 }
 
 #[test]
+fn deeply_nested_line_is_malformed_not_a_crash() {
+    // One line nesting a million arrays: a parser without a depth bound
+    // recurses once per level and overflows the stack.
+    let depth = 1_000_000;
+    let deep = format!(
+        r#"{{"kind":"phase","x":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let mut a = fresh();
+    a.ingest_line(&alert("d", 1, 9));
+    a.ingest_line(&deep);
+    a.ingest_line(&alert("d", 2, 9));
+    let s = a.stats();
+    assert_eq!(s.malformed, 1);
+    assert_eq!(s.decisions, 2, "both accusations around it were decided");
+    let m = a.machine("d").unwrap();
+    assert_eq!(m.suspiciousness(NodeId(9)), 2);
+    assert_eq!(m.reports_spent(NodeId(1)), 1);
+    assert_eq!(m.reports_spent(NodeId(2)), 1);
+}
+
+#[test]
 fn duplicate_accusations_consume_nothing_streamwise() {
     let mut a = fresh();
     // Reporter 1 spams the same accusation: one acceptance, τ' never

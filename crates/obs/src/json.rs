@@ -8,9 +8,18 @@
 //! emitted as `null`. The parser exists so consumers (the event-schema
 //! linter, the perf-trend tool, the round-trip proptest) can read what the
 //! writers produce without external dependencies; it accepts exactly RFC
-//! 8259 JSON and preserves number text verbatim, so `u64` values above
-//! 2^53 survive a round trip.
+//! 8259 JSON nested at most [`MAX_DEPTH`] levels deep and preserves number
+//! text verbatim, so `u64` values above 2^53 survive a round trip.
+//!
+//! One lexer serves two front ends: [`JsonValue::parse`] builds an owned
+//! tree, and [`scan_object`] walks a flat object's members as borrowed
+//! [`JsonRef`] views without building one — the alerter's per-line wire
+//! path, which reads a few fields of every line and would otherwise pay
+//! one allocation per key and per value.
+//! Both share the object grammar, so they accept and reject the same
+//! documents with the same errors.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a quoted JSON string, escaping control
@@ -110,20 +119,83 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest before a document is rejected.
+/// The parser recurses once per level, so without a bound one long line of
+/// `[[[[…` from outside the process would overflow the stack; every
+/// document the workspace writes nests a handful of levels at most.
+pub const MAX_DEPTH: usize = 128;
+
+/// A borrowed view of one top-level member value, as [`scan_object`]
+/// visits it. Numbers keep their source text and strings borrow from the
+/// document unless they contain escapes; nested arrays and objects are
+/// validated but not built.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, as its source text.
+    Number(&'a str),
+    /// A string, unescaped (borrowed when it held no escape).
+    String(Cow<'a, str>),
+    /// An array or object.
+    Nested,
+}
+
+impl JsonRef<'_> {
+    /// The string payload, for strings.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonRef::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as exact `u64`, for integral numbers (the same
+    /// rule as [`JsonNumber::as_u64`]).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonRef::Number(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Validates `text` as one JSON document, exactly as [`JsonValue::parse`]
+/// does (same errors at the same offsets), without building a tree. When
+/// the document is an object, `visit` sees each top-level member in order
+/// — duplicates included — and the result is `Ok(true)`; any other valid
+/// document gives `Ok(false)`. On `Err`, members visited before the
+/// failure belong to an invalid document and should be discarded.
+pub fn scan_object<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(&str, JsonRef<'a>),
+) -> Result<bool, JsonError> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    let is_object = p.peek() == Some(b'{');
+    if is_object {
+        p.object_with(|p, key| {
+            let value = p.value_ref()?;
+            visit(&key, value);
+            Ok(())
+        })?;
+    } else {
+        p.value()?;
+    }
+    p.end()?;
+    Ok(is_object)
+}
+
 impl JsonValue {
     /// Parses one complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after JSON value"));
-        }
+        p.end()?;
         Ok(value)
     }
 
@@ -190,11 +262,25 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn error(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -203,13 +289,22 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// After the document's value: only whitespace may follow.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters after JSON value"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -222,7 +317,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -234,7 +329,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b'"') => Ok(JsonValue::String(self.str_ref()?.into_owned())),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
@@ -244,78 +339,129 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// [`value`](Parser::value) for a top-level member of a scanned
+    /// object: strings and numbers borrow, nested values are dropped.
+    fn value_ref(&mut self) -> Result<JsonRef<'a>, JsonError> {
+        Ok(match self.peek() {
+            Some(b'"') => JsonRef::String(self.str_ref()?),
+            Some(b'-' | b'0'..=b'9') => JsonRef::Number(self.number_raw()?),
+            _ => match self.value()? {
+                JsonValue::Null => JsonRef::Null,
+                JsonValue::Bool(b) => JsonRef::Bool(b),
+                _ => JsonRef::Nested,
+            },
+        })
+    }
+
+    /// Runs `inner` one nesting level down, rejecting the document at the
+    /// opening bracket once [`MAX_DEPTH`] levels are open.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
     fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
         let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
+        self.object_with(|p, key| {
+            members.push((key.into_owned(), p.value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(members))
+    }
+
+    /// The object grammar, shared by the tree parser and [`scan_object`]:
+    /// `member` is called with each key once the `:` is consumed and must
+    /// consume the value.
+    fn object_with(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.nested(|p| {
+            p.expect(b'{')?;
+            p.skip_ws();
+            if p.peek() == Some(b'}') {
+                p.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                p.skip_ws();
+                let key = p.str_ref()?;
+                p.skip_ws();
+                p.expect(b':')?;
+                p.skip_ws();
+                member(p, key)?;
+                p.skip_ws();
+                match p.peek() {
+                    Some(b',') => p.pos += 1,
+                    Some(b'}') => {
+                        p.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(p.error("expected ',' or '}' in object")),
+                }
+            }
+        })
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
+        self.nested(|p| {
+            p.expect(b'[')?;
+            let mut items = Vec::new();
+            p.skip_ws();
+            if p.peek() == Some(b']') {
+                p.pos += 1;
+                return Ok(JsonValue::Array(items));
             }
-        }
+            loop {
+                p.skip_ws();
+                items.push(p.value()?);
+                p.skip_ws();
+                match p.peek() {
+                    Some(b',') => p.pos += 1,
+                    Some(b']') => {
+                        p.pos += 1;
+                        return Ok(JsonValue::Array(items));
+                    }
+                    _ => return Err(p.error("expected ',' or ']' in array")),
+                }
+            }
+        })
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Advances over bytes a string carries verbatim. The run stops only
+    /// at ASCII bytes (or the end), so it ends on a char boundary.
+    fn skip_plain(&mut self) {
+        let rest = &self.bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// A string, borrowed from the document when it holds no escape and
+    /// decoded into an owned copy when it does.
+    fn str_ref(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
-            let start = self.pos;
-            // Fast path: a run of plain bytes copied as one str slice.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                // The input is valid UTF-8 (it is a &str) and the run
-                // breaks only at ASCII bytes, so the slice is valid too.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-            }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -367,15 +513,18 @@ impl<'a> Parser<'a> {
                 Some(_) => return Err(self.error("unescaped control character in string")),
                 None => return Err(self.error("unterminated string")),
             }
+            let run = self.pos;
+            self.skip_plain();
+            out.push_str(&self.text[run..self.pos]);
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
+        let hex = std::str::from_utf8(&self.bytes()[self.pos..end])
             .map_err(|_| self.error("non-ASCII in \\u escape"))?;
         let value =
             u32::from_str_radix(hex, 16).map_err(|_| self.error("non-hex in \\u escape"))?;
@@ -384,6 +533,13 @@ impl<'a> Parser<'a> {
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::Number(JsonNumber(
+            self.number_raw()?.to_string(),
+        )))
+    }
+
+    /// A number's source text, validated against the RFC 8259 grammar.
+    fn number_raw(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -396,7 +552,7 @@ impl<'a> Parser<'a> {
             return Err(self.error("expected digits in number"));
         }
         // Leading zeros are invalid JSON ("01"), a bare "0" is fine.
-        if self.bytes[digits_from] == b'0' && self.pos - digits_from > 1 {
+        if self.bytes()[digits_from] == b'0' && self.pos - digits_from > 1 {
             return Err(self.error("leading zero in number"));
         }
         if self.peek() == Some(b'.') {
@@ -422,8 +578,7 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Ok(JsonValue::Number(JsonNumber(text.to_string())))
+        Ok(&self.text[start..self.pos])
     }
 }
 
@@ -535,6 +690,67 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        assert!(JsonValue::parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH, "rejected at the opening bracket");
+        // The top-level object is one level; so is each nested array.
+        let member = |depth: usize| format!(r#"{{"x":{}}}"#, nested_arrays(depth));
+        assert!(JsonValue::parse(&member(MAX_DEPTH - 1)).is_ok());
+        assert!(scan_object(&member(MAX_DEPTH - 1), |_, _| {}).is_ok());
+        let deep = member(MAX_DEPTH);
+        assert_eq!(
+            scan_object(&deep, |_, _| {}),
+            Err(JsonValue::parse(&deep).unwrap_err())
+        );
+        // Far past the limit the error is the same, not a stack overflow.
+        let err = JsonValue::parse(&nested_arrays(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn scan_object_borrows_plain_members_in_order() {
+        let mut seen = Vec::new();
+        let doc = r#" {"k":"v","n":-1.5e3,"b":true,"z":null,"a":[1],"k":"\u0041"} "#;
+        assert_eq!(
+            scan_object(doc, |key, value| seen.push((key.to_string(), value))),
+            Ok(true)
+        );
+        assert_eq!(
+            seen,
+            vec![
+                ("k".to_string(), JsonRef::String(Cow::Borrowed("v"))),
+                ("n".to_string(), JsonRef::Number("-1.5e3")),
+                ("b".to_string(), JsonRef::Bool(true)),
+                ("z".to_string(), JsonRef::Null),
+                ("a".to_string(), JsonRef::Nested),
+                (
+                    "k".to_string(),
+                    JsonRef::String(Cow::Owned("A".to_string()))
+                ),
+            ]
+        );
+        assert!(matches!(&seen[0].1, JsonRef::String(Cow::Borrowed(_))));
+        assert!(matches!(&seen[5].1, JsonRef::String(Cow::Owned(_))));
+        assert_eq!(JsonRef::Number("42").as_u64(), Some(42));
+        assert_eq!(JsonRef::Number("1.0").as_u64(), None);
+        assert_eq!(
+            scan_object("[1,2]", |_, _| panic!("not an object")),
+            Ok(false)
+        );
+        assert_eq!(scan_object("\"s\"", |_, _| {}), Ok(false));
+        assert_eq!(
+            scan_object(r#"{"a":1}x"#, |_, _| {}),
+            Err(JsonValue::parse(r#"{"a":1}x"#).unwrap_err())
+        );
     }
 
     #[test]

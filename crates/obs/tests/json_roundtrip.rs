@@ -4,9 +4,13 @@
 //! backslashes, control characters and non-BMP code points; floats are
 //! drawn from raw bit patterns so NaN, infinities and subnormals are all
 //! exercised.
+//!
+//! A second property pins the borrowed scanner to the tree parser:
+//! `scan_object` visits exactly the members `JsonValue::parse` yields and
+//! fails with the same error on every invalid document.
 
 use proptest::prelude::*;
-use secloc_obs::json::JsonValue;
+use secloc_obs::json::{scan_object, JsonRef, JsonValue};
 use secloc_obs::{Event, SpanContext, Value};
 
 /// Characters that historically break hand-rolled JSON escapers.
@@ -164,6 +168,88 @@ proptest! {
         for (member, (key, value)) in members[next..].iter().zip(&event.fields) {
             prop_assert_eq!(member.0.as_str(), key.as_str());
             assert_value_matches(&member.1, value);
+        }
+    }
+}
+
+/// Whether `seen` is `scan_object`'s view of the tree parser's `value`.
+fn same_member(value: &JsonValue, seen: &JsonRef) -> bool {
+    match (value, seen) {
+        (JsonValue::Null, JsonRef::Null) => true,
+        (JsonValue::Bool(a), JsonRef::Bool(b)) => a == b,
+        (JsonValue::Number(n), JsonRef::Number(raw)) => n.raw() == *raw,
+        (JsonValue::String(a), JsonRef::String(b)) => a == b,
+        (JsonValue::Array(_) | JsonValue::Object(_), JsonRef::Nested) => true,
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn scan_object_agrees_with_the_tree_parser(
+        fields in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u32>(), 0..6),
+                any::<u8>(),
+                any::<u64>(),
+                proptest::collection::vec(any::<u32>(), 0..10),
+            ),
+            0..6,
+        ),
+        wrap in 0u8..3,
+        mutations in proptest::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 0..3),
+    ) {
+        let built: Vec<(String, Value)> = fields
+            .iter()
+            .map(|(key_raws, sel, payload, str_raws)| {
+                (string_from(key_raws), build_value(*sel, *payload, str_raws))
+            })
+            .collect();
+        let borrowed: Vec<(&str, Value)> = built
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        let line = Event::new("k", &borrowed).to_json();
+        // Flat objects, objects with nested members, and non-objects.
+        let doc = match wrap {
+            0 => line,
+            1 => format!(r#"{{"e":{line},"a":[{line},1],"s":"x"}}"#),
+            _ => format!("[{line}]"),
+        };
+        // Mutate by char, so the document stays a valid str: truncate,
+        // substitute, or insert.
+        let mut chars: Vec<char> = doc.chars().collect();
+        for &(op, at, raw) in &mutations {
+            let at = at as usize % (chars.len() + 1);
+            match op {
+                0 => chars.truncate(at),
+                1 if at < chars.len() => chars[at] = char_from(raw),
+                _ => chars.insert(at, char_from(raw)),
+            }
+        }
+        let doc: String = chars.into_iter().collect();
+
+        let mut seen = Vec::new();
+        let scanned = scan_object(&doc, |key, value| seen.push((key.to_string(), value)));
+        match JsonValue::parse(&doc) {
+            Ok(JsonValue::Object(members)) => {
+                prop_assert_eq!(scanned, Ok(true));
+                prop_assert_eq!(seen.len(), members.len());
+                for ((key, value), (seen_key, seen_value)) in members.iter().zip(&seen) {
+                    prop_assert_eq!(key, seen_key);
+                    prop_assert!(
+                        same_member(value, seen_value),
+                        "member {:?}: tree {:?} vs scan {:?}", key, value, seen_value
+                    );
+                }
+            }
+            Ok(_) => {
+                prop_assert_eq!(scanned, Ok(false));
+                prop_assert!(seen.is_empty());
+            }
+            Err(e) => prop_assert_eq!(scanned, Err(e), "doc: {:?}", doc),
         }
     }
 }

@@ -168,6 +168,16 @@ impl BatchedMmse {
     /// Exactly the scalar solver's errors: too few active rows, degenerate
     /// geometry in the linear seed, or a non-finite Gauss–Newton iterate.
     pub fn estimate(&self, s: &MmseScratch) -> Result<Estimate, EstimateError> {
+        self.position(s).map(|p| s.estimate_at(p))
+    }
+
+    /// The position [`BatchedMmse::estimate`] solves for, without the
+    /// residual pass — for callers that only use the position.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`BatchedMmse::estimate`]'s errors.
+    pub fn position(&self, s: &MmseScratch) -> Result<Point2, EstimateError> {
         if s.idx.len() < self.inner.min_references() {
             return Err(EstimateError::TooFewReferences {
                 got: s.idx.len(),
@@ -175,8 +185,7 @@ impl BatchedMmse {
             });
         }
         let seed = linear_seed_rows(s)?;
-        let refined = gauss_newton_rows(&self.inner, seed, s)?;
-        Ok(s.estimate_at(refined))
+        gauss_newton_rows(&self.inner, seed, s)
     }
 }
 
@@ -330,6 +339,39 @@ mod tests {
             s.retain(|i| mask[i]);
             assert_same(scalar.estimate(&subset), batched.estimate(&s));
         }
+    }
+
+    #[test]
+    fn position_matches_estimate_position_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let batched = BatchedMmse::default();
+        let mut s = MmseScratch::new();
+        for trial in 0..400 {
+            let refs = random_refs(&mut rng, trial % 14);
+            s.load(&refs);
+            if trial % 2 == 1 {
+                let mask: Vec<bool> = (0..refs.len()).map(|_| rng.gen_bool(0.6)).collect();
+                s.retain(|i| mask[i]);
+            }
+            match (batched.position(&s), batched.estimate(&s)) {
+                (Ok(p), Ok(est)) => {
+                    assert_eq!(p.x.to_bits(), est.position.x.to_bits());
+                    assert_eq!(p.y.to_bits(), est.position.y.to_bits());
+                }
+                (p, est) => assert_eq!(p, est.map(|e| e.position)),
+            }
+        }
+        // The error cases agree too: too few rows and a degenerate line.
+        s.load(&random_refs(&mut rng, 2));
+        assert_eq!(
+            batched.position(&s),
+            Err(EstimateError::TooFewReferences { got: 2, need: 3 })
+        );
+        let line: Vec<LocationReference> = (0..4)
+            .map(|i| LocationReference::new(Point2::new(10.0 * i as f64, 0.0), 7.0))
+            .collect();
+        s.load(&line);
+        assert_eq!(batched.position(&s), Err(EstimateError::DegenerateGeometry));
     }
 
     #[test]

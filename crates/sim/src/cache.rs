@@ -10,6 +10,16 @@
 //! index file directly, so latency is independent of how many dead cells
 //! (entries outside the current grid) the cache has accumulated.
 //!
+//! # Batched lookup
+//!
+//! A warm sweep asks for its whole grid at once through
+//! [`BinaryCache::get_many`]. Probes are sorted by home slot and served
+//! from merged windows of the index, hits are sorted by `(shard, offset)`
+//! and read in merged windows of the shards. Neighbours at most
+//! `MERGE_GAP` bytes apart share a read, and no read exceeds
+//! `WINDOW_CAP`, so the bytes read stay bounded by the grid's own probes
+//! and records plus one gap each — O(hits), not O(cache).
+//!
 //! # On-disk layout
 //!
 //! A binary cache is a directory:
@@ -63,7 +73,10 @@ use crate::orchestrator::{CacheInsert, CellKey};
 use crate::SimOutcome;
 use secloc_obs::fnv1a;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io;
+// Positioned reads and writes (`pread`/`pwrite`): one syscall each, and no
+// shared file cursor, so lookups need only `&self`.
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 /// Fixed record width, including the length prefix and checksum.
@@ -88,6 +101,13 @@ const MAX_LOAD_NUM: u64 = 7;
 const MAX_LOAD_DEN: u64 = 10;
 /// Slots read per probe I/O (one 128-byte read covers a typical cluster).
 const PROBE_BATCH: usize = 8;
+/// A batched lookup reads the bytes between two neighbouring probes (or
+/// records) rather than issue a second read, when they lie at most this
+/// far apart: one page, about what a read syscall costs to copy.
+const MERGE_GAP: u64 = 4096;
+/// Upper bound on one batched read, so a lookup's buffer stays small
+/// whatever the cache size.
+const WINDOW_CAP: u64 = 64 * 1024;
 
 /// Picks the shard count for a cache created to hold `expected_cells`:
 /// one shard per ~8k cells, a power of two, clamped to `[1, MAX_SHARDS]`.
@@ -112,20 +132,22 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-// `&File` implements `Seek`/`Read`/`Write`, so positioned I/O needs no
-// `&mut` — but it *does* move the file's shared cursor, so a cache handle
-// must not be probed from two threads at once (the orchestrator only ever
-// touches it from the merge thread).
-fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
-}
-
-fn write_all_at(file: &fs::File, buf: &[u8], offset: u64) -> io::Result<()> {
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.write_all(buf)
+/// The next batched read over `spans`, byte ranges sorted by start: the
+/// first span merged with each following one that starts at most
+/// `MERGE_GAP` past the window's end and keeps it within `WINDOW_CAP`.
+/// Returns the window's `(start, end)` and how many spans it covers.
+fn next_window(mut spans: impl Iterator<Item = (u64, u64)>) -> (u64, u64, usize) {
+    let (start, mut end) = spans.next().expect("at least one span");
+    let merged = spans
+        .take_while(|&(from, to)| {
+            let fits = from <= end + MERGE_GAP && to - start <= WINDOW_CAP;
+            if fits {
+                end = end.max(to);
+            }
+            fits
+        })
+        .count();
+    (start, end, 1 + merged)
 }
 
 fn put_u64(buf: &mut [u8], at: usize, v: u64) {
@@ -315,7 +337,7 @@ impl BinaryCache {
             .write(true)
             .open(dir.join("index.bin"))?;
         let mut header = [0u8; HEADER_LEN as usize];
-        if read_exact_at(&index, &mut header, 0).is_err() {
+        if index.read_exact_at(&mut header, 0).is_err() {
             return Ok(None); // shorter than a header: rebuild
         }
         let magic = get_u64(&header, 0);
@@ -381,7 +403,7 @@ impl BinaryCache {
         for (s, &len) in self.shard_lens.iter().enumerate() {
             put_u64(&mut header, 40 + s * 8, len);
         }
-        write_all_at(&self.index, &header, 0)
+        self.index.write_all_at(&header, 0)
     }
 
     /// Validates every shard against its indexed length: re-indexes valid
@@ -406,7 +428,7 @@ impl BinaryCache {
             while offset < actual {
                 let mut buf = [0u8; RECORD_LEN];
                 let intact = actual - offset >= RECORD_LEN as u64
-                    && read_exact_at(&self.shards[s], &mut buf, offset).is_ok();
+                    && self.shards[s].read_exact_at(&mut buf, offset).is_ok();
                 match intact.then(|| decode_record(&buf)).flatten() {
                     Some((key, _outcome)) => {
                         // A crash landed between the record append and the
@@ -503,8 +525,8 @@ impl BinaryCache {
             header[12..16].copy_from_slice(&shard_count.to_le_bytes());
             put_u64(&mut header, 16, capacity);
             put_u64(&mut header, 24, len);
-            write_all_at(&tmp, &header, 0)?;
-            write_all_at(&tmp, &slots, HEADER_LEN)?;
+            tmp.write_all_at(&header, 0)?;
+            tmp.write_all_at(&slots, HEADER_LEN)?;
             tmp.sync_all()?;
         }
         fs::rename(&tmp_path, dir.join("index.bin"))?;
@@ -536,7 +558,7 @@ impl BinaryCache {
         }
         let old_capacity = self.capacity;
         let mut old_slots = vec![0u8; (old_capacity * SLOT_LEN) as usize];
-        read_exact_at(&self.index, &mut old_slots, HEADER_LEN)?;
+        self.index.read_exact_at(&mut old_slots, HEADER_LEN)?;
         let mut new_slots = vec![0u8; (needed * SLOT_LEN) as usize];
         for i in 0..old_capacity {
             let at = (i * SLOT_LEN) as usize;
@@ -566,7 +588,7 @@ impl BinaryCache {
                 .truncate(true)
                 .open(&tmp_path)?;
             tmp.set_len(HEADER_LEN + needed * SLOT_LEN)?;
-            write_all_at(&tmp, &new_slots, HEADER_LEN)?;
+            tmp.write_all_at(&new_slots, HEADER_LEN)?;
             self.index = tmp;
             self.write_header()?;
             self.index.sync_all()?;
@@ -576,35 +598,50 @@ impl BinaryCache {
     }
 
     /// Probes the index for `key`: `Some((shard, offset))` when present.
+    /// Walks the whole chain, wrapping past the table end, one
+    /// `PROBE_BATCH`-slot read at a time.
     fn probe(&self, key: CellKey) -> io::Result<Option<(u32, u64)>> {
         let mut slot = home_slot(key.0, self.capacity);
         let mut buf = [0u8; PROBE_BATCH * SLOT_LEN as usize];
         let mut probed = 0u64;
         while probed < self.capacity {
-            // One read covers PROBE_BATCH consecutive slots (clamped at
-            // the table's end; probing wraps around).
+            // Clamped at the table's end; the next read wraps around.
             let batch = PROBE_BATCH.min((self.capacity - slot) as usize);
-            read_exact_at(
-                &self.index,
-                &mut buf[..batch * SLOT_LEN as usize],
-                HEADER_LEN + slot * SLOT_LEN,
-            )?;
-            for i in 0..batch {
-                let at = i * SLOT_LEN as usize;
-                let loc = get_u64(&buf, at + 8);
-                if loc == 0 {
-                    return Ok(None);
-                }
-                if get_u64(&buf, at) == key.0 {
-                    let shard = (loc >> 48) as u32;
-                    let offset = (loc & 0xFFFF_FFFF_FFFF) - 1;
-                    return Ok(Some((shard, offset)));
-                }
+            let slots = &mut buf[..batch * SLOT_LEN as usize];
+            self.index
+                .read_exact_at(slots, HEADER_LEN + slot * SLOT_LEN)?;
+            if let Some(found) = self.scan_chain(slots, key) {
+                return Ok(found);
             }
             probed += batch as u64;
             slot = (slot + batch as u64) & (self.capacity - 1);
         }
         Ok(None)
+    }
+
+    /// Follows `key`'s probe chain through consecutive slots: `Some(found)`
+    /// once the chain ends in them — at `key`'s slot or at an empty one —
+    /// and `None` when they run out first.
+    fn scan_chain(&self, slots: &[u8], key: CellKey) -> Option<Option<(u32, u64)>> {
+        for slot in slots.chunks_exact(SLOT_LEN as usize) {
+            let loc = get_u64(slot, 8);
+            if loc == 0 {
+                return Some(None);
+            }
+            if get_u64(slot, 0) == key.0 {
+                return Some(self.decode_loc(loc));
+            }
+        }
+        None
+    }
+
+    /// Splits a non-empty slot's `loc` into `(shard, offset)`. A location
+    /// no insert writes — offset bits of zero, or a shard past the shard
+    /// count — is corrupt and reads as absent.
+    fn decode_loc(&self, loc: u64) -> Option<(u32, u64)> {
+        let shard = (loc >> 48) as u32;
+        let offset = (loc & 0xFFFF_FFFF_FFFF).checked_sub(1)?;
+        (shard < self.shard_count).then_some((shard, offset))
     }
 
     /// Writes one slot + header update for an entry already appended to
@@ -614,7 +651,8 @@ impl BinaryCache {
         let mut slot = home_slot(key.0, self.capacity);
         let mut buf = [0u8; SLOT_LEN as usize];
         loop {
-            read_exact_at(&self.index, &mut buf, HEADER_LEN + slot * SLOT_LEN)?;
+            self.index
+                .read_exact_at(&mut buf, HEADER_LEN + slot * SLOT_LEN)?;
             if get_u64(&buf, 8) == 0 || get_u64(&buf, 0) == key.0 {
                 break;
             }
@@ -622,7 +660,8 @@ impl BinaryCache {
         }
         put_u64(&mut buf, 0, key.0);
         put_u64(&mut buf, 8, (u64::from(shard) << 48) | (offset + 1));
-        write_all_at(&self.index, &buf, HEADER_LEN + slot * SLOT_LEN)?;
+        self.index
+            .write_all_at(&buf, HEADER_LEN + slot * SLOT_LEN)?;
         self.len += 1;
         self.shard_lens[shard as usize] =
             self.shard_lens[shard as usize].max(offset + RECORD_LEN as u64);
@@ -660,23 +699,95 @@ impl BinaryCache {
         &self.dir
     }
 
-    /// Looks up `key`: one index probe plus one record read — O(1)
-    /// whatever the cache size. A record that fails validation (torn by
-    /// an unclean shutdown the index survived) reads as a miss.
+    /// Looks up `key`: the one-key case of [`BinaryCache::get_many`] —
+    /// one index read plus one record read, whatever the cache size.
     pub fn get(&self, key: CellKey) -> io::Result<Option<SimOutcome>> {
-        let Some((shard, offset)) = self.probe(key)? else {
-            return Ok(None);
+        let mut out = [None];
+        self.get_many(&[key], &mut out)?;
+        let [outcome] = out;
+        Ok(outcome)
+    }
+
+    /// Looks up every key at once, writing `out[i]` for `keys[i]`: the
+    /// same answer [`BinaryCache::get`] gives each key, from merged index
+    /// and record windows (see the module docs). A probe chain that runs
+    /// past its window falls back to a single-key probe. An index entry
+    /// past its shard's indexed length, or a record that fails validation
+    /// or holds another key (torn by an unclean shutdown the index
+    /// survived), reads as a miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` and `out` differ in length.
+    pub fn get_many(&self, keys: &[CellKey], out: &mut [Option<SimOutcome>]) -> io::Result<()> {
+        assert_eq!(keys.len(), out.len(), "one output per key");
+        out.fill(None);
+        let mut buf = Vec::new();
+        let mut hits = self.locate_many(keys, &mut buf)?;
+        hits.sort_unstable();
+        let mut rest = &hits[..];
+        while let Some(&(shard, ..)) = rest.first() {
+            let (start, end, n) = next_window(
+                rest.iter()
+                    .take_while(|hit| hit.0 == shard)
+                    .map(|&(_, offset, _)| (offset, offset + RECORD_LEN as u64)),
+            );
+            buf.resize((end - start) as usize, 0);
+            self.shards[shard as usize].read_exact_at(&mut buf, start)?;
+            for &(_, offset, i) in &rest[..n] {
+                let at = (offset - start) as usize;
+                out[i] = match decode_record(&buf[at..at + RECORD_LEN]) {
+                    Some((recorded, outcome)) if recorded == keys[i] => Some(outcome),
+                    _ => None,
+                };
+            }
+            rest = &rest[n..];
+        }
+        Ok(())
+    }
+
+    /// The index half of [`BinaryCache::get_many`]: `(shard, offset, i)`
+    /// for every `keys[i]` whose index entry lies within its shard's
+    /// indexed length. `buf` is the window buffer, reused by the caller.
+    fn locate_many(
+        &self,
+        keys: &[CellKey],
+        buf: &mut Vec<u8>,
+    ) -> io::Result<Vec<(u32, u64, usize)>> {
+        let mut order: Vec<(u64, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (home_slot(key.0, self.capacity), i))
+            .collect();
+        order.sort_unstable();
+        // A probe spans its home slot plus the `PROBE_BATCH` slots a lone
+        // probe reads, clamped at the table end; spans are byte ranges of
+        // the slot array.
+        let span = |home: u64| {
+            let end = (home + PROBE_BATCH as u64).min(self.capacity);
+            (home * SLOT_LEN, end * SLOT_LEN)
         };
-        if shard >= self.shard_count || offset + RECORD_LEN as u64 > self.shard_lens[shard as usize]
-        {
-            return Ok(None); // index ahead of the shard; treat as a miss
+        let mut hits = Vec::new();
+        let mut rest = &order[..];
+        while !rest.is_empty() {
+            let (start, end, n) = next_window(rest.iter().map(|&(home, _)| span(home)));
+            buf.resize((end - start) as usize, 0);
+            self.index.read_exact_at(buf, HEADER_LEN + start)?;
+            for &(home, i) in &rest[..n] {
+                let from = (home * SLOT_LEN - start) as usize;
+                let found = match self.scan_chain(&buf[from..], keys[i]) {
+                    Some(found) => found,
+                    None => self.probe(keys[i])?,
+                };
+                if let Some((shard, offset)) = found {
+                    if offset + RECORD_LEN as u64 <= self.shard_lens[shard as usize] {
+                        hits.push((shard, offset, i));
+                    }
+                }
+            }
+            rest = &rest[n..];
         }
-        let mut buf = [0u8; RECORD_LEN];
-        read_exact_at(&self.shards[shard as usize], &mut buf, offset)?;
-        match decode_record(&buf) {
-            Some((recorded_key, outcome)) if recorded_key == key => Ok(Some(outcome)),
-            _ => Ok(None),
-        }
+        Ok(hits)
     }
 
     /// Records `outcome` under `key`, reporting what happened (the same
@@ -695,7 +806,7 @@ impl BinaryCache {
         let shard = (key.0 % u64::from(self.shard_count)) as u32;
         let offset = self.shard_lens[shard as usize];
         let record = encode_record(key, &outcome);
-        write_all_at(&self.shards[shard as usize], &record, offset)?;
+        self.shards[shard as usize].write_all_at(&record, offset)?;
         self.index_entry(key, shard, offset)
             .map(|()| CacheInsert::Inserted)
     }

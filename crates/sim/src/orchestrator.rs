@@ -601,7 +601,8 @@ pub enum CacheFormat {
     /// (parses) the whole file: O(file).
     Jsonl,
     /// Sharded fixed-width records plus a persistent key index — warm
-    /// start probes per cell: O(hits), independent of cache size. See
+    /// start reads the grid's own slots and records in batched windows:
+    /// O(hits), independent of cache size. See
     /// [`crate::cache`].
     Binary,
 }
@@ -659,10 +660,16 @@ impl CacheBackend {
         }
     }
 
-    fn get(&self, key: CellKey) -> io::Result<Option<SimOutcome>> {
+    /// Writes each key's cached outcome, or `None`, to its `out` slot.
+    fn get_many(&self, keys: &[CellKey], out: &mut [Option<SimOutcome>]) -> io::Result<()> {
         match self {
-            CacheBackend::Jsonl(cache) => Ok(cache.get(key).cloned()),
-            CacheBackend::Binary(cache) => cache.get(key),
+            CacheBackend::Jsonl(cache) => {
+                for (slot, key) in out.iter_mut().zip(keys) {
+                    *slot = cache.get(*key).cloned();
+                }
+                Ok(())
+            }
+            CacheBackend::Binary(cache) => cache.get_many(keys, out),
         }
     }
 
@@ -1033,12 +1040,14 @@ impl Orchestrator {
         let resumed = prefix.len();
         obs.add("sweep.cells_resumed", resumed as u64);
 
-        // 2. Consult the cache for everything past the prefix. A binary
-        //    cache probes its index per key — O(grid), never O(cache) —
-        //    so warm-start latency is independent of how many dead cells
-        //    the cache file has accumulated. A new cache is sized for the
-        //    whole grid; an existing one reserves index room only for the
-        //    cells that miss, once the scan has counted them.
+        // 2. Consult the cache for everything past the prefix, in one
+        //    batched lookup that fills `results` in place. A binary cache
+        //    reads merged windows of its index and shards around the
+        //    grid's own keys — O(hits), never O(cache) — so warm-start
+        //    latency is independent of how many dead cells the cache has
+        //    accumulated. A new cache is sized for the whole grid; an
+        //    existing one reserves index room only for the cells that
+        //    miss, once the scan has counted them.
         let mut cache = match &self.cache_path {
             Some(path) => Some(CacheBackend::open(path, self.cache_format, spec.len())?),
             None => None,
@@ -1058,15 +1067,13 @@ impl Orchestrator {
             }
             results[i] = Some(outcome);
         }
+        if let Some(cache) = &cache {
+            cache.get_many(&keys[resumed..], &mut results[resumed..])?;
+        }
         let mut cache_hits = 0usize;
         let mut pending: Vec<usize> = Vec::new();
         for i in resumed..spec.len() {
-            let hit = match &cache {
-                Some(cache) => cache.get(keys[i])?,
-                None => None,
-            };
-            if let Some(hit) = hit {
-                results[i] = Some(hit);
+            if results[i].is_some() {
                 in_cache[i] = true;
                 cache_hits += 1;
                 if obs.sink_attached() {

@@ -666,8 +666,8 @@ impl Runner {
             let ks = &core.kept[w as usize];
             debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
             scratch.load_from_iter(ks.iter().map(|k| k.reference));
-            if let Ok(est) = batched.estimate(&scratch) {
-                let c = field.clamp(est.position).distance(d.position(w));
+            if let Ok(position) = batched.position(&scratch) {
+                let c = field.clamp(position).distance(d.position(w));
                 before[w as usize] = Some(c);
                 sum_b += c;
                 n_b += 1;
@@ -913,17 +913,17 @@ impl Runner {
                 debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
                 scratch.load_from_iter(ks.iter().map(|k| k.reference));
                 let before = batched
-                    .estimate(&scratch)
+                    .position(&scratch)
                     .ok()
-                    .map(|est| field.clamp(est.position).distance(d.position(w)));
+                    .map(|p| field.clamp(p).distance(d.position(w)));
                 let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
                     before // nothing filtered: identical inputs
                 } else {
                     scratch.retain(|i| !revoked[ks[i].beacon as usize]);
                     batched
-                        .estimate(&scratch)
+                        .position(&scratch)
                         .ok()
-                        .map(|est| field.clamp(est.position).distance(d.position(w)))
+                        .map(|p| field.clamp(p).distance(d.position(w)))
                 };
                 if let Some(c) = before {
                     sum_b += c;
@@ -978,9 +978,9 @@ impl Runner {
                                 .map(|k| k.reference),
                         );
                         batched
-                            .estimate(scratch)
+                            .position(scratch)
                             .ok()
-                            .map(|est| field.clamp(est.position).distance(d.position(w)))
+                            .map(|p| field.clamp(p).distance(d.position(w)))
                     };
                     let contribution = match dropped {
                         // Nothing dropped: identical inputs, reuse the

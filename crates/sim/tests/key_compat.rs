@@ -15,13 +15,20 @@
 //!
 //! The orchestrator is observed from outside: a binary cache pre-filled
 //! under per-cell keys must serve every cell of the sweep, and the
-//! checkpoint it writes must record those keys. Nothing is simulated.
+//! checkpoint it writes must record those keys. Nothing is simulated
+//! there.
+//!
+//! A key is only as good as the outcome stored under it, so the last test
+//! pins simulated outcomes too: every field of a few runs, floats by their
+//! bits.
 
 use proptest::prelude::*;
+use secloc_faults::NoiseRegion;
 use secloc_obs::fnv1a;
 use secloc_sim::orchestrator::{cell_key, config_fingerprint, CellKey};
 use secloc_sim::{
-    BinaryCache, CacheFormat, Orchestrator, SimConfig, SimOutcome, SweepCell, SweepSpec,
+    BinaryCache, CacheFormat, FaultPlan, ImpactMemo, Orchestrator, RunOptions, Runner, SimConfig,
+    SimOutcome, SweepCell, SweepSpec,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -228,4 +235,82 @@ proptest! {
         };
         assert_run_keys_match(&spec);
     }
+}
+
+/// Every field of `o` as text, with each float as its IEEE-754 bits, so a
+/// change in the last bit of any field changes the string.
+fn outcome_bits(o: &SimOutcome) -> String {
+    let opt = |v: Option<f64>| v.map_or("none".to_string(), |x| format!("{:016x}", x.to_bits()));
+    format!(
+        "{} {} {} {} {:016x} {:016x} {} {} {:016x} {} {}",
+        o.malicious_total,
+        o.benign_total,
+        o.revoked_malicious,
+        o.revoked_benign,
+        o.affected_before.to_bits(),
+        o.affected_after.to_bits(),
+        o.benign_alerts,
+        o.collusion_alerts,
+        o.mean_requesters_per_beacon.to_bits(),
+        opt(o.mean_loc_error_before_ft),
+        opt(o.mean_loc_error_after_ft),
+    )
+}
+
+fn run_bits(config: &SimConfig, seed: u64) -> String {
+    outcome_bits(
+        &Runner::new(config.clone(), seed)
+            .run(RunOptions::new())
+            .outcome,
+    )
+}
+
+/// Outcome values pinned bit for bit, so a change to any solver, draw
+/// order or accumulation order on the simulated path fails here. Covers
+/// plain runs, an aggressive attacker, a ranging-noise fault plan, and a
+/// two-cell τ′ pair finished from one shared probe stage and impact memo.
+#[test]
+fn golden_outcomes_are_pinned() {
+    let paper = SimConfig::paper_default();
+    let paper_runs: Vec<String> = (0..4).map(|seed| run_bits(&paper, seed)).collect();
+    assert_eq!(paper_runs, [
+            "10 90 5 10 401acccccccccccd 400c000000000000 39 30 404f8147ae147ae1 4044a9bc998e930a 4044c237230cf13d",
+            "10 90 6 10 4018cccccccccccd 400599999999999a 39 30 404e6e147ae147ae 404098f27c0c1dd8 404068ecffe6575d",
+            "10 90 6 10 4014666666666666 3ff6666666666666 29 30 404f947ae147ae14 4043bbbd72bf4821 4043c441f66d63c4",
+            "10 90 4 10 401a666666666666 400d99999999999a 35 30 404f9d70a3d70a3d 40443f2cd331cf93 4042fadcbe1161ac",
+        ], "paper_default, seeds 0-3");
+
+    let aggressive = SimConfig {
+        attacker_p: 0.6,
+        ..paper.clone()
+    };
+    assert_eq!(run_bits(&aggressive, 5),
+        "10 90 9 10 404099999999999a 4008cccccccccccd 56 30 404ebc28f5c28f5c 40519b48caf08715 404927306f9e4d24", "attacker_p = 0.6, seed 5");
+
+    let noisy = SimConfig {
+        faults: FaultPlan::default().with_noise_region(NoiseRegion::whole_field(1000.0, 1.5)),
+        ..paper.clone()
+    };
+    assert_eq!(run_bits(&noisy, 6),
+        "10 90 7 64 4016000000000000 3ff8000000000000 543 30 404fa8f5c28f5c29 404b1d389aecab26 4050dae2e7bfcceb", "ranging-noise plan, seed 6");
+
+    let loose = SimConfig {
+        attacker_p: 0.6,
+        tau_prime: 1,
+        ..paper.clone()
+    };
+    let base = Runner::new(aggressive.clone(), 7);
+    let stage = base.probe_stage();
+    let mut memo = ImpactMemo::new();
+    let first = base.finish_from_stage_memo(&stage, &mut memo);
+    let rekeyed = base.deployment().with_policy(loose).unwrap();
+    let second = Runner::from_deployment(rekeyed).finish_from_stage_memo(&stage, &mut memo);
+    assert_eq!(
+        [outcome_bits(&first), outcome_bits(&second)],
+        [
+            "10 90 7 10 40410ccccccccccd 402399999999999a 45 30 404e570a3d70a3d7 4051ec548a448260 404932c6f2e139de",
+            "10 90 8 15 40410ccccccccccd 4018666666666666 45 30 404e570a3d70a3d7 4051ec548a448260 404793f13ddebbd1",
+        ],
+        "tau' = 2 then 1 from one probe stage, seed 7"
+    );
 }

@@ -40,4 +40,4 @@ pub mod wire;
 
 pub use replay::{diff_checkpoint, replay_stream, CheckpointDiff, ReplayReport};
 pub use service::{Alerter, AlerterConfig, AlerterStats, DeploymentSummary};
-pub use wire::{parse_line, WireEvent};
+pub use wire::{parse_line, Line, LineReader, WireEvent, MAX_LINE_BYTES};

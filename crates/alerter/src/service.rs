@@ -14,7 +14,7 @@
 //! so thousands of concurrent deployments cost a hash lookup plus an
 //! index — no per-event allocation beyond the machines' own counters.
 
-use crate::wire::{parse_line, WireEvent};
+use crate::wire::{parse_line, Line, LineReader, WireEvent};
 use secloc_core::{
     AlertOutcome, ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine,
 };
@@ -185,30 +185,42 @@ impl Alerter {
         self.stats.lines += 1;
         match parse_line(line) {
             Ok(event) => self.ingest(event),
-            Err(reason) => {
-                self.stats.malformed += 1;
-                self.obs.emit(
-                    "alerter.malformed",
-                    &[
-                        ("error", Value::Str(reason)),
-                        ("line", Value::U64(self.stats.lines)),
-                    ],
-                );
-            }
+            Err(reason) => self.malformed(reason),
         }
     }
 
-    /// Ingests every line `reader` yields until end of input, reusing one
-    /// line buffer; trailing `\r`/`\n` are trimmed before parsing.
-    pub fn ingest_reader(&mut self, mut reader: impl BufRead) -> io::Result<()> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Ok(());
+    /// Ingests every line `reader` yields until end of input through one
+    /// [`LineReader`]. A line that is not UTF-8 or is longer than
+    /// [`MAX_LINE_BYTES`](crate::wire::MAX_LINE_BYTES) is one malformed
+    /// line, and reading goes on after it.
+    ///
+    /// # Errors
+    ///
+    /// Only I/O errors of `reader`.
+    pub fn ingest_reader(&mut self, reader: impl BufRead) -> io::Result<()> {
+        let mut lines = LineReader::new(reader);
+        while let Some(line) = lines.next_line()? {
+            match line {
+                Line::Text(text) => self.ingest_line(text),
+                Line::Malformed(reason) => {
+                    self.stats.lines += 1;
+                    self.malformed(reason.to_string());
+                }
             }
-            self.ingest_line(line.trim_end_matches(['\r', '\n']));
         }
+        Ok(())
+    }
+
+    /// Counts the current line as malformed and reports it.
+    fn malformed(&mut self, reason: String) {
+        self.stats.malformed += 1;
+        self.obs.emit(
+            "alerter.malformed",
+            &[
+                ("error", Value::Str(reason)),
+                ("line", Value::U64(self.stats.lines)),
+            ],
+        );
     }
 
     /// Ingests one decoded event.

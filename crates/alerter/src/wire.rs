@@ -18,6 +18,7 @@
 //! malformed line, which the service counts and survives.
 
 use secloc_obs::json::{scan_object, JsonRef};
+use std::io::{self, BufRead, ErrorKind, Read};
 
 /// One decoded input line, normalized across the two dialects.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +180,93 @@ pub fn parse_line(line: &str) -> Result<WireEvent, String> {
             cache: str_of(&f.cache),
         }),
         _ => Ok(WireEvent::Ignored),
+    }
+}
+
+/// The longest input line accepted, in bytes, counting its newline. The
+/// longest line a recorded sweep writes is a few hundred bytes; the cap
+/// keeps one newline-free stream from growing memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line read by [`LineReader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Line<'a> {
+    /// A line with its `\n` or `\r\n` terminator trimmed.
+    Text(&'a str),
+    /// A line that is not UTF-8 or is longer than [`MAX_LINE_BYTES`],
+    /// with the reason. The whole line has been consumed.
+    Malformed(&'static str),
+}
+
+/// Reads lines of at most [`MAX_LINE_BYTES`] bytes into one buffer that
+/// never grows past that cap. An overlong line is discarded through the
+/// reader's own buffer, so it costs no memory beyond the cap.
+#[derive(Debug)]
+pub struct LineReader<R> {
+    reader: R,
+    buf: Vec<u8>,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// A reader over `reader`.
+    pub fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            buf: Vec::with_capacity(MAX_LINE_BYTES),
+        }
+    }
+
+    /// The next line, or `None` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// Only I/O errors of the underlying reader; bad bytes are a
+    /// [`Line::Malformed`].
+    pub fn next_line(&mut self) -> io::Result<Option<Line<'_>>> {
+        self.buf.clear();
+        let n = (&mut self.reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut self.buf)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if n == MAX_LINE_BYTES && self.buf.last() != Some(&b'\n') && self.discard_line()? > 0 {
+            return Ok(Some(Line::Malformed("line longer than MAX_LINE_BYTES")));
+        }
+        Ok(Some(match std::str::from_utf8(&self.buf) {
+            Ok(text) => Line::Text(text.trim_end_matches(['\r', '\n'])),
+            Err(_) => Line::Malformed("line is not valid UTF-8"),
+        }))
+    }
+
+    /// Consumes input through the next newline or end of input, one
+    /// buffered chunk at a time; returns the bytes consumed.
+    fn discard_line(&mut self) -> io::Result<usize> {
+        let mut consumed = 0;
+        loop {
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                return Ok(consumed);
+            }
+            let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (chunk.len(), false),
+            };
+            self.reader.consume(used);
+            consumed += used;
+            if done {
+                return Ok(consumed);
+            }
+        }
+    }
+
+    /// The line buffer's capacity; at most [`MAX_LINE_BYTES`].
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 

@@ -4,7 +4,7 @@
 //! and N concurrent deployments must never cross-contaminate.
 
 use proptest::prelude::*;
-use secloc_alerter::{Alerter, AlerterConfig};
+use secloc_alerter::{Alerter, AlerterConfig, Line, LineReader, MAX_LINE_BYTES};
 use secloc_core::{RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_obs::{MemorySink, Obs, Value};
@@ -76,6 +76,42 @@ fn deeply_nested_line_is_malformed_not_a_crash() {
     assert_eq!(m.suspiciousness(NodeId(9)), 2);
     assert_eq!(m.reports_spent(NodeId(1)), 1);
     assert_eq!(m.reports_spent(NodeId(2)), 1);
+}
+
+#[test]
+fn bad_bytes_and_overlong_lines_are_malformed_not_fatal() {
+    // An invalid-UTF-8 line and a 4 MiB line between two valid
+    // accusations.
+    let mut stream = Vec::new();
+    stream.extend_from_slice(alert("d", 1, 9).as_bytes());
+    stream.extend_from_slice(b"\n\xff\xfe\n");
+    stream.extend(std::iter::repeat_n(b'x', 4 << 20));
+    stream.push(b'\n');
+    stream.extend_from_slice(alert("d", 2, 9).as_bytes());
+    stream.push(b'\n');
+
+    let mut a = fresh();
+    a.ingest_reader(stream.as_slice()).unwrap();
+    let s = a.stats();
+    assert_eq!(s.malformed, 2);
+    assert_eq!(s.decisions, 2, "the accusation after the bad lines counts");
+    assert_eq!(a.machine("d").unwrap().suspiciousness(NodeId(9)), 2);
+
+    let mut lines = LineReader::new(std::io::BufReader::new(stream.as_slice()));
+    let mut read = Vec::new();
+    while let Some(line) = lines.next_line().unwrap() {
+        read.push(matches!(line, Line::Text(_)));
+        assert!(lines.capacity() <= MAX_LINE_BYTES);
+    }
+    assert_eq!(read, [true, false, false, true]);
+
+    // A newline-free tail longer than the cap is one malformed line.
+    let mut tail = alert("d", 3, 9).into_bytes();
+    tail.push(b'\n');
+    tail.extend(std::iter::repeat_n(b'{', MAX_LINE_BYTES + 1));
+    let mut a = fresh();
+    a.ingest_reader(tail.as_slice()).unwrap();
+    assert_eq!((a.stats().malformed, a.stats().decisions), (1, 1));
 }
 
 #[test]

@@ -10,7 +10,7 @@ use secloc_analysis::{revocation_rate_pd, NetworkPopulation};
 use secloc_core::{DetectionPipeline, Observation};
 use secloc_crypto::{Key, Mac};
 use secloc_geometry::Point2;
-use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimator, MmseScratch};
+use secloc_localization::{Estimator, LocationReference, MmseEstimator};
 use secloc_radio::timing::RttModel;
 use secloc_radio::Cycles;
 use secloc_sim::{Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
@@ -46,49 +46,6 @@ fn bench_localization(c: &mut Criterion) {
     let est = MmseEstimator::default();
     c.bench_function("mmse_estimate_6refs", |b| {
         b.iter(|| est.estimate(black_box(&refs)).unwrap())
-    });
-}
-
-/// Scalar estimator vs the SoA-scratch batched solver on the impact
-/// phase's workload shape: solve the full set, then a filtered subset —
-/// the scalar side re-materializes the subset `Vec` per solve (what the
-/// impact phase used to do), the batched side selects rows by index.
-fn bench_mmse_batched_vs_scalar(c: &mut Criterion) {
-    let truth = Point2::new(420.0, 310.0);
-    let refs: Vec<LocationReference> = (0..8)
-        .map(|i| {
-            let a = Point2::new(
-                137.0 * (i as f64 + 1.0) % 1000.0,
-                211.0 * (i as f64) % 900.0,
-            );
-            LocationReference::new(a, a.distance(truth) + 2.0)
-        })
-        .collect();
-    let drop_mask = [false, true, false, false, true, false, false, false];
-    let scalar = MmseEstimator::default();
-    c.bench_function("mmse_batched_vs_scalar/scalar", |b| {
-        b.iter(|| {
-            let full = scalar.estimate(black_box(&refs)).unwrap();
-            let subset: Vec<LocationReference> = refs
-                .iter()
-                .zip(&drop_mask)
-                .filter(|(_, &dropped)| !dropped)
-                .map(|(r, _)| *r)
-                .collect();
-            let filtered = scalar.estimate(&subset).unwrap();
-            (full, filtered)
-        })
-    });
-    let batched = BatchedMmse::default();
-    let mut scratch = MmseScratch::new();
-    c.bench_function("mmse_batched_vs_scalar/batched", |b| {
-        b.iter(|| {
-            scratch.load(black_box(&refs));
-            let full = batched.estimate(&scratch).unwrap();
-            scratch.retain(|i| !drop_mask[i]);
-            let filtered = batched.estimate(&scratch).unwrap();
-            (full, filtered)
-        })
     });
 }
 
@@ -217,7 +174,6 @@ criterion_group!(
     config = Criterion::default().sample_size(20);
     targets = bench_crypto,
     bench_localization,
-    bench_mmse_batched_vs_scalar,
     bench_detection,
     bench_rtt_model,
     bench_analysis,

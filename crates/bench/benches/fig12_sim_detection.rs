@@ -11,7 +11,7 @@
 
 use secloc_analysis::{revocation_rate_pd, NetworkPopulation};
 use secloc_bench::{banner, f3, Table};
-use secloc_sim::{average_outcomes, SimConfig, SimOutcome};
+use secloc_sim::{average_outcomes, Orchestrator, SimConfig, SimOutcome, SweepSpec};
 
 const SEEDS: u64 = 8;
 
@@ -23,8 +23,10 @@ fn run(p: f64) -> (f64, secloc_analysis::Interval, f64) {
         wormhole: None,
         ..SimConfig::paper_default()
     };
-    let outcomes: Vec<SimOutcome> =
-        secloc_sim::sweep::run_seeds_auto(&cfg, &(0..SEEDS).collect::<Vec<u64>>());
+    let outcomes: Vec<SimOutcome> = Orchestrator::new()
+        .run(&SweepSpec::single(&cfg, &(0..SEEDS).collect::<Vec<u64>>()))
+        .expect("in-memory sweep cannot fail I/O")
+        .outcomes;
     let agg = average_outcomes(&outcomes);
     let revoked: u64 = outcomes.iter().map(|o| o.revoked_malicious as u64).sum();
     let total: u64 = outcomes.iter().map(|o| o.malicious_total as u64).sum();

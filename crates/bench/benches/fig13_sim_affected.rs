@@ -8,7 +8,7 @@
 
 use secloc_analysis::{affected_nonbeacons, NetworkPopulation};
 use secloc_bench::{banner, f3, Table};
-use secloc_sim::{average_outcomes, SimConfig, SimOutcome};
+use secloc_sim::{average_outcomes, Orchestrator, SimConfig, SimOutcome, SweepSpec};
 
 const SEEDS: u64 = 8;
 
@@ -33,8 +33,13 @@ fn main() {
             wormhole: None,
             ..SimConfig::paper_default()
         };
-        let outcomes: Vec<SimOutcome> =
-            secloc_sim::sweep::run_seeds_auto(&cfg, &(10..10 + SEEDS).collect::<Vec<u64>>());
+        let outcomes: Vec<SimOutcome> = Orchestrator::new()
+            .run(&SweepSpec::single(
+                &cfg,
+                &(10..10 + SEEDS).collect::<Vec<u64>>(),
+            ))
+            .expect("in-memory sweep cannot fail I/O")
+            .outcomes;
         let agg = average_outcomes(&outcomes);
         let theory =
             affected_nonbeacons(p, 8, 2, agg.mean_requesters_per_beacon.round() as u64, pop);

@@ -21,7 +21,6 @@
 
 use secloc_bench::{banner, results_dir, Table};
 use secloc_geometry::GridIndex;
-use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimator, MmseScratch};
 use secloc_obs::{MetricsRegistry, Obs};
 use secloc_radio::medium::{Medium, Tap};
 use secloc_radio::{Cycles, Frame, FrameBody, RequestPayload};
@@ -182,72 +181,6 @@ fn bench_full_run(cfg: &SimConfig, runs: u64, registry: &Arc<MetricsRegistry>) -
     Section {
         name: "full_run",
         iters: runs,
-        before_ns,
-        after_ns,
-    }
-}
-
-fn bench_location_simd(deployment: &Deployment, rounds: u32) -> Section {
-    // Per-sensor reference sets with the audible-beacon shape of a real
-    // run (anchor = beacon position, distance = true range). The before
-    // side mirrors the reference impact path — materialize each sensor's
-    // set into a fresh `Vec`, solve with the scalar estimator — and the
-    // after side mirrors the optimized path: load one reused pre-sized
-    // scratch, solve with the row-kernel batched solver. An equivalence
-    // gate precedes the timing: the two must agree bit-for-bit.
-    let d = deployment;
-    let sets: Vec<Vec<LocationReference>> = d
-        .sensors()
-        .map(|w| {
-            d.audible_beacons(w)
-                .iter()
-                .map(|&b| {
-                    let anchor = d.position(b);
-                    LocationReference::new(anchor, anchor.distance(d.position(w)))
-                })
-                .collect()
-        })
-        .collect();
-    let estimator = MmseEstimator::default();
-    let batched = BatchedMmse::default();
-    let mut scratch = MmseScratch::with_capacity(d.max_audible_len());
-    for refs in &sets {
-        scratch.load(refs);
-        assert_eq!(
-            estimator
-                .estimate(refs)
-                .map(|e| (e.position.x.to_bits(), e.position.y.to_bits())),
-            batched
-                .estimate(&scratch)
-                .map(|e| (e.position.x.to_bits(), e.position.y.to_bits())),
-            "row-kernel solve diverged from scalar — ratios are meaningless"
-        );
-    }
-    let before_ns = time(|| {
-        let mut solved = 0usize;
-        for _ in 0..rounds {
-            for refs in &sets {
-                // Fresh per-solve Vec, as the reference `mean_error`
-                // closure pays on every sensor.
-                let materialized: Vec<LocationReference> = refs.to_vec();
-                solved += usize::from(estimator.estimate(&materialized).is_ok());
-            }
-        }
-        solved
-    });
-    let after_ns = time(|| {
-        let mut solved = 0usize;
-        for _ in 0..rounds {
-            for refs in &sets {
-                scratch.load(refs);
-                solved += usize::from(batched.estimate(&scratch).is_ok());
-            }
-        }
-        solved
-    });
-    Section {
-        name: "location_simd",
-        iters: u64::from(rounds) * sets.len() as u64,
         before_ns,
         after_ns,
     }
@@ -548,7 +481,6 @@ fn main() {
         bench_grid(&deployment, grid_rounds),
         bench_transmit(&deployment, transmit_rounds),
         bench_full_run(&cfg, full_runs, &registry),
-        bench_location_simd(&deployment, grid_rounds),
     ];
     let sweep = bench_sweep_sharing(&cfg, quick);
     let scale = bench_sweep_scale(quick);

@@ -39,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 mod centroid;
 pub mod dvhop;
 mod estimator;
@@ -49,7 +49,6 @@ mod minmax;
 mod mmse;
 mod reference;
 mod robust;
-pub(crate) mod rows;
 
 pub use batch::{BatchedMmse, MmseScratch};
 pub use centroid::CentroidEstimator;

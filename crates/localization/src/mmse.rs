@@ -47,15 +47,7 @@ impl Default for MmseEstimator {
 
 impl Estimator for MmseEstimator {
     fn estimate(&self, refs: &[LocationReference]) -> Result<Estimate, EstimateError> {
-        if refs.len() < self.min_references() {
-            return Err(EstimateError::TooFewReferences {
-                got: refs.len(),
-                need: self.min_references(),
-            });
-        }
-        let seed = linear_seed(refs)?;
-        let refined = self.gauss_newton(seed, refs)?;
-        Ok(Estimate::at(refined, refs))
+        self.position(refs).map(|p| Estimate::at(p, refs))
     }
 
     fn min_references(&self) -> usize {
@@ -64,6 +56,25 @@ impl Estimator for MmseEstimator {
 }
 
 impl MmseEstimator {
+    /// The position [`Estimator::estimate`] solves for, without the
+    /// residual pass — for callers that only use the position.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Estimator::estimate`]'s errors: too few references,
+    /// degenerate geometry in the linear seed, or a non-finite
+    /// Gauss–Newton iterate.
+    pub fn position(&self, refs: &[LocationReference]) -> Result<Point2, EstimateError> {
+        if refs.len() < self.min_references() {
+            return Err(EstimateError::TooFewReferences {
+                got: refs.len(),
+                need: self.min_references(),
+            });
+        }
+        let seed = linear_seed(refs)?;
+        self.gauss_newton(seed, refs)
+    }
+
     fn gauss_newton(
         &self,
         mut p: Point2,
@@ -256,6 +267,21 @@ mod tests {
         let refs = exact_refs(truth, &[(50.0, 50.0), (0.0, 0.0), (100.0, 0.0)]);
         let e = MmseEstimator::default().estimate(&refs).unwrap();
         assert!(e.position.distance(truth) < 1e-4);
+    }
+
+    #[test]
+    fn position_is_the_estimate_position() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let est = MmseEstimator::default();
+        for n in 0..12 {
+            let refs: Vec<LocationReference> = (0..n)
+                .map(|_| {
+                    let a = Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
+                    LocationReference::new(a, rng.gen_range(0.0..300.0))
+                })
+                .collect();
+            assert_eq!(est.position(&refs), est.estimate(&refs).map(|e| e.position));
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! why the paper argues for revocation rather than estimator hardening
 //! alone.
 
-use crate::batch::{BatchedMmse, MmseScratch};
 use crate::{Estimate, EstimateError, Estimator, LocationReference, MmseEstimator};
 use secloc_crypto::prf::prf64;
 
@@ -88,40 +87,6 @@ impl Estimator for ResidualFilterEstimator {
     }
 }
 
-impl ResidualFilterEstimator {
-    /// [`Estimator::estimate`] routed through a caller-owned scratch:
-    /// bit-identical results, but the working set lives in `scratch`'s
-    /// index list instead of a fresh `Vec` per call.
-    pub fn estimate_with(
-        &self,
-        refs: &[LocationReference],
-        scratch: &mut MmseScratch,
-    ) -> Result<Estimate, EstimateError> {
-        scratch.load(refs);
-        let solver = BatchedMmse { inner: self.inner };
-        loop {
-            let est = solver.estimate(scratch)?;
-            // Lane-unrolled scan in active order, exactly like the
-            // Vec-backed loop (same max_by tie-break); the index list
-            // undergoes the same swap_remove permutation the working Vec
-            // did, so the scan order stays in lockstep.
-            let (worst_pos, worst_abs) = crate::rows::worst_abs_residual(
-                est.position.x,
-                est.position.y,
-                &scratch.ax,
-                &scratch.ay,
-                &scratch.d,
-                scratch.idx.as_slice(),
-            );
-            if worst_abs <= self.inlier_threshold_ft || scratch.active_len() <= self.min_references
-            {
-                return Ok(est);
-            }
-            scratch.idx.swap_remove(worst_pos);
-        }
-    }
-}
-
 /// RANSAC-style consensus estimation.
 ///
 /// Draw `iterations` minimal subsets (3 references), fit each, count the
@@ -167,62 +132,6 @@ impl ConsensusEstimator {
             }
         }
         picks
-    }
-
-    /// [`Estimator::estimate`] routed through a caller-owned scratch:
-    /// bit-identical results, but inlier sets are tracked as index
-    /// selections instead of per-iteration `Vec`s.
-    pub fn estimate_with(
-        &self,
-        refs: &[LocationReference],
-        scratch: &mut MmseScratch,
-    ) -> Result<Estimate, EstimateError> {
-        if refs.len() < self.min_references() {
-            return Err(EstimateError::TooFewReferences {
-                got: refs.len(),
-                need: self.min_references(),
-            });
-        }
-        if refs.len() == 3 {
-            return self.inner.estimate(refs);
-        }
-        scratch.load(refs);
-        // First pass: count inliers per candidate fit; only the winning
-        // candidate's membership is materialized (as an index selection).
-        // Strictly-greater comparison keeps the same first-best winner the
-        // Vec-backed loop picks.
-        let mut best: Option<(usize, secloc_geometry::Point2)> = None;
-        for iter in 0..self.iterations {
-            let idx = self.sample_triple(refs.len(), iter);
-            let subset = [refs[idx[0]], refs[idx[1]], refs[idx[2]]];
-            let Ok(candidate) = self.inner.estimate(&subset) else {
-                continue; // collinear minimal sample
-            };
-            let count = crate::rows::count_within(
-                candidate.position.x,
-                candidate.position.y,
-                &scratch.ax,
-                &scratch.ay,
-                &scratch.d,
-                refs.len(),
-                self.inlier_threshold_ft,
-            );
-            if count > best.map_or(0, |(n, _)| n) {
-                best = Some((count, candidate.position));
-            }
-        }
-        let Some((count, winner)) = best else {
-            return Err(EstimateError::DegenerateGeometry);
-        };
-        if count < self.min_references() {
-            return Err(EstimateError::DegenerateGeometry);
-        }
-        let (ax, ay, d) = (&scratch.ax, &scratch.ay, &scratch.d);
-        scratch.idx.retain(|&i| {
-            (winner.distance(secloc_geometry::Point2::new(ax[i], ay[i])) - d[i]).abs()
-                <= self.inlier_threshold_ft
-        });
-        BatchedMmse { inner: self.inner }.estimate(scratch)
     }
 }
 
@@ -398,54 +307,6 @@ mod tests {
         };
         let est = tight.estimate(&refs).unwrap();
         assert!(est.position.is_finite());
-    }
-
-    #[test]
-    fn scratch_variants_match_vec_paths_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut scratch = crate::batch::MmseScratch::new();
-        let filter = ResidualFilterEstimator::default();
-        let consensus = ConsensusEstimator::default();
-        for n in [3usize, 4, 6, 9, 14] {
-            for trial in 0..40 {
-                let truth = Point2::new(rng.gen_range(0.0..500.0), rng.gen_range(0.0..500.0));
-                let refs: Vec<LocationReference> = (0..n)
-                    .map(|_| {
-                        let a = Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
-                        // A mix of honest, noisy, and poisoned distances so
-                        // both the filter and the consensus paths exercise
-                        // their drop/keep logic.
-                        let d = match trial % 3 {
-                            0 => a.distance(truth),
-                            1 => (a.distance(truth) + rng.gen_range(-8.0..8.0)).max(0.0),
-                            _ => rng.gen_range(0.0..400.0),
-                        };
-                        LocationReference::new(a, d)
-                    })
-                    .collect();
-                let assert_same =
-                    |a: Result<Estimate, EstimateError>, b: Result<Estimate, EstimateError>| match (
-                        a, b,
-                    ) {
-                        (Ok(x), Ok(y)) => {
-                            assert_eq!(x.position.x.to_bits(), y.position.x.to_bits());
-                            assert_eq!(x.position.y.to_bits(), y.position.y.to_bits());
-                            assert_eq!(x.residual_rms.to_bits(), y.residual_rms.to_bits());
-                        }
-                        (x, y) => assert_eq!(x, y),
-                    };
-                assert_same(
-                    filter.estimate(&refs),
-                    filter.estimate_with(&refs, &mut scratch),
-                );
-                assert_same(
-                    consensus.estimate(&refs),
-                    consensus.estimate_with(&refs, &mut scratch),
-                );
-            }
-        }
     }
 
     #[test]

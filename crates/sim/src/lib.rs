@@ -47,7 +47,6 @@ pub mod orchestrator;
 mod probe;
 pub mod report;
 mod runner;
-pub mod sweep;
 pub mod trace;
 
 pub use cache::{BinaryCache, CacheRecovery};

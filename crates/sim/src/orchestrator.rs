@@ -305,7 +305,7 @@ impl SweepSpec {
         SweepSpec { cells, runs }
     }
 
-    /// One config fanned over seeds (the classic `run_seeds` shape).
+    /// One config fanned over seeds, outcomes in seed order.
     pub fn single(config: &SimConfig, seeds: &[u64]) -> Self {
         SweepSpec::product(std::slice::from_ref(config), seeds)
     }

@@ -18,7 +18,7 @@ use secloc_attack::{Action, CollusionPolicy};
 use secloc_core::{Alert, AlertMetrics, BaseStation, RevocationConfig};
 use secloc_crypto::NodeId;
 use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, FaultPlan, NoiseField};
-use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimator, MmseScratch};
+use secloc_localization::{Estimator, LocationReference, MmseEstimator, MmseScratch};
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
 use secloc_radio::{Cycles, EventQueue};
@@ -650,12 +650,12 @@ impl Runner {
     /// The τ-independent slice of the impact phase, accumulated in sensor
     /// order with exactly the float operations of the in-run single-pass
     /// computation (so a shared-stage mean is bit-identical to a fresh
-    /// run's). Solves run on the row-kernel [`BatchedMmse`] over one
-    /// pre-sized [`MmseScratch`].
+    /// run's). Each sensor's references are solved by
+    /// [`MmseEstimator::position`] from one pre-sized [`MmseScratch`].
     fn impact_precompute(&self, core: &StageCore) -> ImpactPrecompute {
         let d = &self.deployment;
         let cfg = d.config();
-        let batched = BatchedMmse::default();
+        let estimator = MmseEstimator::default();
         let field = secloc_geometry::Field::square(cfg.field_side_ft);
         let cap = d.max_audible_len();
         let mut scratch = MmseScratch::with_capacity(cap);
@@ -666,7 +666,7 @@ impl Runner {
             let ks = &core.kept[w as usize];
             debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
             scratch.load_from_iter(ks.iter().map(|k| k.reference));
-            if let Ok(position) = batched.position(&scratch) {
+            if let Ok(position) = estimator.position(scratch.active()) {
                 let c = field.clamp(position).distance(d.position(w));
                 before[w as usize] = Some(c);
                 sum_b += c;
@@ -895,13 +895,12 @@ impl Runner {
             (n > 0).then(|| sum / n as f64)
         };
 
-        // Single pass over the sensors on the row-kernel solver with a
-        // reused pre-sized scratch; when revocation removed none of a
-        // sensor's references the second (filtered) estimate is the same
-        // pure function of the same inputs, so the first result is reused
-        // instead of recomputed. The per-accumulator addition order
-        // matches the two-pass reference, so the means are bit-identical.
-        let batched = BatchedMmse::default();
+        // Single pass over the sensors with a reused pre-sized scratch;
+        // when revocation removed none of a sensor's references the second
+        // (filtered) estimate is the same pure function of the same
+        // inputs, so the first result is reused instead of recomputed. The
+        // per-accumulator addition order matches the two-pass reference,
+        // so the means are bit-identical.
         let cap = d.max_audible_len();
         let mean_errors_single_pass = || -> (Option<f64>, Option<f64>) {
             let mut scratch = MmseScratch::with_capacity(cap);
@@ -912,16 +911,16 @@ impl Runner {
                 let ks = &kept[w as usize];
                 debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
                 scratch.load_from_iter(ks.iter().map(|k| k.reference));
-                let before = batched
-                    .position(&scratch)
+                let before = estimator
+                    .position(scratch.active())
                     .ok()
                     .map(|p| field.clamp(p).distance(d.position(w)));
                 let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
                     before // nothing filtered: identical inputs
                 } else {
                     scratch.retain(|i| !revoked[ks[i].beacon as usize]);
-                    batched
-                        .position(&scratch)
+                    estimator
+                        .position(scratch.active())
                         .ok()
                         .map(|p| field.clamp(p).distance(d.position(w)))
                 };
@@ -977,8 +976,8 @@ impl Runner {
                                 .filter(|k| !revoked[k.beacon as usize])
                                 .map(|k| k.reference),
                         );
-                        batched
-                            .position(scratch)
+                        estimator
+                            .position(scratch.active())
                             .ok()
                             .map(|p| field.clamp(p).distance(d.position(w)))
                     };

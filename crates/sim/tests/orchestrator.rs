@@ -4,7 +4,7 @@
 
 use secloc_obs::{Event, EventSink, FlightRecorder, Obs};
 use secloc_sim::orchestrator::cell_key;
-use secloc_sim::{Orchestrator, SimConfig, SweepSpec};
+use secloc_sim::{Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -267,17 +267,35 @@ fn panicking_cell_leaves_a_flight_dump_of_its_trace() {
 }
 
 #[test]
-fn orchestrated_sweep_matches_run_seeds() {
-    // The compatibility contract behind the `run_seeds` rewiring: the
-    // orchestrator's outcomes are exactly the classic helper's, in order.
+fn orchestrated_sweep_matches_runner_loop() {
+    // A one-config sweep returns exactly a plain per-seed `Runner` loop's
+    // outcomes, in the given seed order, for any worker count — including
+    // more workers than seeds, which must not spawn idle workers.
     let config = tiny(0.6);
-    let seeds: Vec<u64> = (0..5).collect();
-    let report = Orchestrator::new()
-        .workers(2)
-        .run(&SweepSpec::single(&config, &seeds))
-        .unwrap();
-    assert_eq!(
-        report.outcomes,
-        secloc_sim::sweep::run_seeds(&config, &seeds, 3)
-    );
+    let cases: [(&[u64], usize); 5] = [
+        (&[0, 1, 2, 3, 4], 1),
+        (&[0, 1, 2, 3, 4], 3),
+        (&[5, 1, 9], 3),
+        (&[3], 16),
+        (&[], 4),
+    ];
+    for (seeds, workers) in cases {
+        let serial: Vec<_> = seeds
+            .iter()
+            .map(|&s| {
+                Runner::new(config.clone(), s)
+                    .run(RunOptions::new())
+                    .outcome
+            })
+            .collect();
+        let report = Orchestrator::new()
+            .workers(workers)
+            .run(&SweepSpec::single(&config, seeds))
+            .unwrap();
+        assert_eq!(
+            report.outcomes, serial,
+            "seeds {seeds:?}, {workers} workers"
+        );
+        assert!(report.workers_spawned <= seeds.len());
+    }
 }

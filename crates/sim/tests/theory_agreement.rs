@@ -5,7 +5,7 @@
 use secloc_analysis::{affected_nonbeacons, revocation_rate_pd, NetworkPopulation};
 use secloc_sim::{average_outcomes, RunOptions, Runner, SimConfig, SimOutcome};
 
-fn run_seeds(p: f64, seeds: std::ops::Range<u64>) -> (Vec<SimOutcome>, f64) {
+fn outcomes_over(p: f64, seeds: std::ops::Range<u64>) -> (Vec<SimOutcome>, f64) {
     let cfg = SimConfig {
         attacker_p: p,
         collusion: false, // theory models no collusion
@@ -27,7 +27,7 @@ fn run_seeds(p: f64, seeds: std::ops::Range<u64>) -> (Vec<SimOutcome>, f64) {
 fn detection_rate_tracks_theory_fig12() {
     let pop = NetworkPopulation::paper_simulation();
     for &p in &[0.1, 0.3, 0.6] {
-        let (outcomes, mean_nc) = run_seeds(p, 0..6);
+        let (outcomes, mean_nc) = outcomes_over(p, 0..6);
         let agg = average_outcomes(&outcomes);
         let theory = revocation_rate_pd(p, 8, 2, mean_nc.round() as u64, pop);
         assert!(
@@ -43,7 +43,7 @@ fn detection_rate_tracks_theory_fig12() {
 fn affected_nonbeacons_tracks_theory_fig13() {
     let pop = NetworkPopulation::paper_simulation();
     for &p in &[0.05, 0.1] {
-        let (outcomes, mean_nc) = run_seeds(p, 10..16);
+        let (outcomes, mean_nc) = outcomes_over(p, 10..16);
         let agg = average_outcomes(&outcomes);
         let theory = affected_nonbeacons(p, 8, 2, mean_nc.round() as u64, pop);
         // N' is small (a few nodes); allow absolute slack of 1.5 nodes.
